@@ -103,17 +103,27 @@ let build_plan ~epc name =
    parsing; the CLI only supplies the plan thunk (a saved plan file when
    [--plan] is given, else the train-input PGO pipeline), which is forced
    only when the scheme actually needs a plan. *)
-let parse_scheme ?plan_file ~epc ~workload s =
-  let plan () =
-    match plan_file with
-    | Some path -> Preload.Plan_io.load ~path
-    | None -> build_plan ~epc workload
-  in
+let scheme_of_string ~plan s =
   match Scheme.of_string ~plan s with
   | Ok scheme -> scheme
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 1
+
+let parse_scheme ?plan_file ~epc ~workload s =
+  scheme_of_string s ~plan:(fun () ->
+      match plan_file with
+      | Some path -> Preload.Plan_io.load ~path
+      | None -> build_plan ~epc workload)
+
+(* The matrix commands parse their schemes inside forked cells, where
+   [exit] would end only the worker.  They check every scheme string
+   here first, in the parent, against a placeholder plan: the grammar is
+   the same, and no plan is built. *)
+let check_scheme ~workload s =
+  ignore
+    (scheme_of_string s ~plan:(fun () ->
+         Preload.Sip_instrumenter.empty_plan ~workload))
 
 let scheme_doc =
   "Preloading scheme: $(b,baseline), $(b,native), $(b,dfp), $(b,dfp-stop), \
@@ -524,25 +534,6 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-let fused_arg =
-  let fused_doc =
-    "Collapse each trace's scheme cells into one fused single-pass \
-     replay (the default): the trace is decoded once per workload \
-     group, not once per cell.  Output is byte-identical to \
-     $(b,--no-fused)."
-  in
-  let no_fused_doc =
-    "Run one job per (workload, scheme) cell — the reference path the \
-     fused replay is diffed against."
-  in
-  Arg.(
-    value
-    & vflag true
-        [
-          (true, info [ "fused" ] ~doc:fused_doc);
-          (false, info [ "no-fused" ] ~doc:no_fused_doc);
-        ])
-
 let ensure_journal_dir = function
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ()
@@ -553,7 +544,7 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let action ids epc input quick_flag jobs timeout retries keep_going journal
-      resume fused =
+      resume =
     let settings =
       if quick_flag then Experiments.quick else settings_of ~epc ~input
     in
@@ -567,7 +558,6 @@ let experiment_cmd =
         keep_going;
         journal_dir = journal;
         resume;
-        fused;
       }
     in
     let ids = if ids = [] then List.map fst Experiments.all else ids in
@@ -582,8 +572,7 @@ let experiment_cmd =
   let term =
     Term.(
       const action $ ids_arg $ epc_arg $ input_arg $ quick_arg $ jobs_arg
-      $ timeout_arg $ retries_arg $ keep_going_arg $ journal_arg $ resume_arg
-      $ fused_arg)
+      $ timeout_arg $ retries_arg $ keep_going_arg $ journal_arg $ resume_arg)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables/figures by id")
@@ -613,7 +602,7 @@ let chaos_cmd =
     Arg.(value & opt (list string) [] & info [ "workloads" ] ~docv:"NAMES" ~doc)
   in
   let action epc input quick_flag jobs seed plan_names workloads timeout
-      retries keep_going journal resume fused breaker online =
+      retries keep_going journal resume breaker online =
     let plans =
       List.map
         (fun name ->
@@ -644,7 +633,6 @@ let chaos_cmd =
         keep_going;
         journal_dir = journal;
         resume;
-        fused;
         breaker = breaker_of breaker;
         online = online_of online;
       }
@@ -671,8 +659,7 @@ let chaos_cmd =
     Term.(
       const action $ epc_chaos_arg $ input_arg $ quick_arg $ jobs_arg
       $ seed_arg $ plans_arg $ workloads_arg $ timeout_arg $ retries_arg
-      $ keep_going_arg $ journal_arg $ resume_arg $ fused_arg $ breaker_arg
-      $ online_arg)
+      $ keep_going_arg $ journal_arg $ resume_arg $ breaker_arg $ online_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -799,8 +786,8 @@ let fleet_cmd =
     let config =
       { Fleet.default_config with Fleet.epc_pages = epc; policy }
     in
-    (* Scheme parsing (and any SIP plan profiling) happens per cell,
-       inside the matrix worker. *)
+    List.iter (fun (w, s) -> check_scheme ~workload:w s) scheme_strings;
+    (* SIP plan profiling happens per cell, inside the matrix worker. *)
     let scheme_for _tag label =
       parse_scheme ?plan_file ~epc ~workload:label
         (List.assoc label scheme_strings)
@@ -1004,8 +991,8 @@ let service_cmd =
       }
     in
     let trace = model ~epc_pages:epc ~input in
-    (* Scheme parsing (and any SIP plan profiling) happens per cell,
-       inside the matrix worker. *)
+    List.iter (check_scheme ~workload) schemes;
+    (* SIP plan profiling happens per cell, inside the matrix worker. *)
     let scheme_for tag = parse_scheme ?plan_file ~epc ~workload tag in
     let cells =
       try

@@ -17,10 +17,6 @@ type settings = {
   keep_going : bool;
   journal_dir : string option;
   resume : bool;
-  fused : bool;
-      (* Collapse the four scheme cells of every (workload, plan) pair
-         into one fused single-pass replay (the default); [--no-fused]
-         is the per-cell cross-check reference CI diffs against. *)
   breaker : Preload.Breaker.config option;
       (* Attach a preload circuit breaker to every non-Native cell, so
          the matrix shows what tripping Open under a hostile plan costs
@@ -49,7 +45,6 @@ let default =
     keep_going = false;
     journal_dir = None;
     resume = false;
-    fused = true;
     breaker = None;
     online = None;
   }
@@ -74,8 +69,7 @@ type cell = {
 
 type outcome = {
   cells : cell list;
-      (** Grid order — workload-major, scheme, plan-minor — whether the
-          cells were computed per-cell or reassembled from fused jobs. *)
+      (** Grid order — workload-major, scheme, plan-minor. *)
   failed : Job_pool.failure list;
   violation_count : int;
 }
@@ -109,9 +103,6 @@ let exp_settings settings =
     keep_going = true;
     journal_dir = settings.journal_dir;
     resume = settings.resume;
-    (* Flows into {!Experiments.settings_key}, so fused and per-cell
-       runs never satisfy each other's journals. *)
-    fused = settings.fused;
   }
 
 let cell_of_result ~workload ~plan (r : Runner.result) =
@@ -140,38 +131,12 @@ let cell_spec es ?breaker ?online ~plan () =
   Runner.Spec.make ~config:(runner_config es) ~fault_plan:plan
     ~input_label:(Input.to_string es.Experiments.ref_input) ?breaker ?online ()
 
-let run_cell es ?breaker ?online ~workload ~scheme_tag ~plan () =
-  let sip_plan =
-    (* The profiling step is pure and cheap relative to the measured run;
-       recomputing it inside the cell keeps the cell self-contained (a
-       Sip plan would otherwise have to travel into every closure). *)
-    if scheme_tag = "SIP" || scheme_tag = "hybrid" then
-      Experiments.plan_for es workload
-    else Preload.Sip_instrumenter.empty_plan ~workload
-  in
-  let scheme = scheme_of scheme_tag sip_plan in
+let run_cell es ?breaker ?online ~workload ~scheme ~plan () =
   let trace = Experiments.trace_of es workload ~input:es.Experiments.ref_input in
   let r =
     Runner.run ~spec:(cell_spec es ?breaker ?online ~plan ()) ~scheme trace
   in
   cell_of_result ~workload ~plan r
-
-(* One fused job per (workload, plan): the trace is decoded and replayed
-   once for all four schemes instead of once per cell.  [run_fused] is
-   contractually equal to per-cell [run], and the SIP plan profiled here
-   is the same pure function of the trace each SIP/hybrid cell would
-   recompute, so the resulting cells are field-for-field the ones the
-   per-cell path produces (the CI fused/per-cell diff locks this). *)
-let run_group es ?breaker ?online ~workload ~plan () =
-  let sip_plan = Experiments.plan_for es workload in
-  let schemes = List.map (fun tag -> scheme_of tag sip_plan) scheme_names in
-  let trace = Experiments.trace_of es workload ~input:es.Experiments.ref_input in
-  let rs =
-    Runner.run_fused
-      ~spec:(cell_spec es ?breaker ?online ~plan ())
-      ~schemes trace
-  in
-  List.map (cell_of_result ~workload ~plan) rs
 
 let plans_of settings =
   Fault_plan.none
@@ -189,87 +154,49 @@ let grid settings =
 
 let run settings =
   let es = exp_settings settings in
-  let journal =
-    Option.map
-      (fun dir -> Filename.concat dir "chaos.journal")
-      settings.journal_dir
+  let journal_key =
+    Printf.sprintf "chaos %s seed=%d breaker=%s online=%s"
+      (Experiments.settings_key es) settings.seed
+      (match settings.breaker with
+      | None -> "off"
+      | Some b ->
+        Printf.sprintf "%d/%d/%g/%d/%d" b.Preload.Breaker.window
+          b.Preload.Breaker.min_samples b.Preload.Breaker.threshold
+          b.Preload.Breaker.cooldown b.Preload.Breaker.probe_samples)
+      (match settings.online with
+      | None -> "off"
+      | Some o -> Preload.Online.config_name o)
   in
-  let pool jobs =
+  (* Compile every workload's ref and train arenas and profile its SIP
+     plan once, here: the pool forks a process per cell, and each
+     inherits both copy-on-write instead of redoing them. *)
+  Experiments.prewarm es settings.workloads;
+  let sip_plans =
+    List.map (fun w -> (w, Experiments.plan_for es w)) settings.workloads
+  in
+  let results =
     Job_pool.run_hardened ~jobs:settings.jobs ?timeout:settings.cell_timeout
-      ~retries:settings.retries ?journal ~resume:settings.resume
-      ~journal_key:
-        (Printf.sprintf "chaos %s seed=%d breaker=%s online=%s"
-           (Experiments.settings_key es) settings.seed
-           (match settings.breaker with
-           | None -> "off"
-           | Some b ->
-             Printf.sprintf "%d/%d/%g/%d/%d" b.Preload.Breaker.window
-               b.Preload.Breaker.min_samples b.Preload.Breaker.threshold
-               b.Preload.Breaker.cooldown b.Preload.Breaker.probe_samples)
-           (match settings.online with
-           | None -> "off"
-           | Some o -> Preload.Online.config_name o))
-      jobs
+      ~retries:settings.retries
+      ?journal:
+        (Option.map
+           (fun dir -> Filename.concat dir "chaos.journal")
+           settings.journal_dir)
+      ~resume:settings.resume ~journal_key
+      (List.map
+         (fun (workload, scheme_tag, plan) ->
+           Job_pool.job
+             ~label:
+               (Printf.sprintf "chaos/%s/%s/%s" workload scheme_tag
+                  plan.Fault_plan.name)
+             (run_cell es ?breaker:settings.breaker ?online:settings.online
+                ~workload
+                ~scheme:(scheme_of scheme_tag (List.assoc workload sip_plans))
+                ~plan))
+         (grid settings))
   in
-  let cells, failed =
-    if not settings.fused then begin
-      let results =
-        pool
-          (List.map
-             (fun (workload, scheme_tag, plan) ->
-               Job_pool.job
-                 ~label:
-                   (Printf.sprintf "chaos/%s/%s/%s" workload scheme_tag
-                      plan.Fault_plan.name)
-                 (run_cell es ?breaker:settings.breaker
-                    ?online:settings.online ~workload ~scheme_tag ~plan))
-             (grid settings))
-      in
-      ( List.filter_map (function Ok c -> Some c | Error _ -> None) results,
-        List.filter_map (function Error f -> Some f | Ok _ -> None) results )
-    end
-    else begin
-      let groups =
-        List.concat_map
-          (fun workload ->
-            List.map (fun plan -> (workload, plan)) (plans_of settings))
-          settings.workloads
-      in
-      let results =
-        pool
-          (List.map
-             (fun (workload, plan) ->
-               Job_pool.job
-                 ~label:
-                   (Printf.sprintf "chaos/%s/fused[%s]/%s" workload
-                      (String.concat "," scheme_names)
-                      plan.Fault_plan.name)
-                 (run_group es ?breaker:settings.breaker
-                    ?online:settings.online ~workload ~plan))
-             groups)
-      in
-      (* Fused jobs come back (workload, plan)-major with the scheme
-         cells inside; the report wants the per-cell grid order
-         (workload / scheme / plan), so reassemble.  A failed group
-         drops all of its cells, exactly as each would have failed
-         individually. *)
-      let by_cell = Hashtbl.create 64 in
-      List.iter2
-        (fun (workload, plan) res ->
-          match res with
-          | Ok cs ->
-            List.iter2
-              (fun tag c ->
-                Hashtbl.replace by_cell (workload, tag, plan.Fault_plan.name) c)
-              scheme_names cs
-          | Error _ -> ())
-        groups results;
-      ( List.filter_map
-          (fun (workload, scheme_tag, plan) ->
-            Hashtbl.find_opt by_cell (workload, scheme_tag, plan.Fault_plan.name))
-          (grid settings),
-        List.filter_map (function Error f -> Some f | Ok _ -> None) results )
-    end
+  let cells = List.filter_map Result.to_option results in
+  let failed =
+    List.filter_map (function Error f -> Some f | Ok _ -> None) results
   in
   if failed <> [] && not settings.keep_going then
     raise (Experiments.Cells_failed failed);

@@ -27,16 +27,6 @@ type settings = {
   keep_going : bool;  (** Report failed cells instead of raising. *)
   journal_dir : string option;
   resume : bool;
-  fused : bool;
-      (** Collapse the four scheme cells of each (workload, plan) pair
-          into one fused single-pass replay ({!Runner.run_fused}; the
-          default) — the trace is decoded once per pair instead of once
-          per cell, and [Job_pool] parallelism moves up to the pair
-          level.  Off, the matrix degrades to one job per cell, the
-          cross-check reference the fused output is contractually
-          byte-identical to (CI diffs the two).  Part of the journal
-          key, so fused and per-cell runs never satisfy each other's
-          journals. *)
   breaker : Preload.Breaker.config option;
       (** Attach a preload circuit breaker to every non-Native cell
           ([--breaker] on the CLI): hostile plans show the trip and its
@@ -71,8 +61,7 @@ type cell = {
 
 type outcome = {
   cells : cell list;
-      (** Grid order — workload-major, scheme, plan-minor — whether the
-          cells were computed per-cell or reassembled from fused jobs. *)
+      (** Grid order — workload-major, scheme, plan-minor. *)
   failed : Job_pool.failure list;
   violation_count : int;
 }

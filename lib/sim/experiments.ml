@@ -20,7 +20,6 @@ type settings = {
   keep_going : bool;
   journal_dir : string option;
   resume : bool;
-  fused : bool;
 }
 
 let default =
@@ -34,7 +33,6 @@ let default =
     keep_going = false;
     journal_dir = None;
     resume = false;
-    fused = true;
   }
 
 let quick = { default with epc_pages = 1024; quick = true }
@@ -165,13 +163,11 @@ let hardened settings =
   || settings.journal_dir <> None
 
 (* Part of the journal key: a journal written for one matrix
-   configuration must never satisfy another.  [fused] is part of the key
-   because it reshapes the job list (group jobs vs cell jobs) even
-   though both shapes print the same bytes. *)
+   configuration must never satisfy another. *)
 let settings_key settings =
-  Printf.sprintf "epc=%d input=%s quick=%b fused=%b" settings.epc_pages
+  Printf.sprintf "epc=%d input=%s quick=%b" settings.epc_pages
     (Input.to_string settings.ref_input)
-    settings.quick settings.fused
+    settings.quick
 
 let cells settings ~table ~label ~f xs =
   let jobs =
@@ -205,15 +201,9 @@ let cells settings ~table ~label ~f xs =
 
 (* The dominant table shape: a [(key, tag)] grid where cells sharing a
    key run the same trace under the same config and differ only in
-   scheme.  With [settings.fused] (the default) each key's cells
-   collapse into one job that drives {!Runner.run_fused} over the
-   group's schemes — the trace is decoded and replayed once per key
-   instead of once per cell, and [Job_pool] parallelism moves up to the
-   key level.  Without it, the grid degrades to the classic one job per
-   cell, which is the cross-check reference: [run_fused] is contractually
-   equal to per-cell [run], so both paths print identical bytes (CI
-   diffs them).  Results come back in grid order; every run is validated
-   inside its job exactly as [run_checked] would. *)
+   scheme.  Each cell is one job replaying its trace under its scheme;
+   results come back in grid order, every run validated inside its job
+   exactly as [run_checked] would. *)
 let scheme_grid settings ~table ~config ?(input_label = "") ~key_label
     ~tag_label ~trace_of:trace_for ~scheme_of grid =
   let spec = Runner.Spec.make ~config ~input_label () in
@@ -222,51 +212,12 @@ let scheme_grid settings ~table ~config ?(input_label = "") ~key_label
     if kl = "" then tag_label tag
     else Printf.sprintf "%s/%s" kl (tag_label tag)
   in
-  if not settings.fused then
-    cells settings ~table ~label:cell_label
-      ~f:(fun (k, tag) ->
-        let r = Runner.run ~spec ~scheme:(scheme_of k tag) (trace_for k) in
-        Validate.assert_valid r;
-        r)
-      grid
-  else begin
-    let keys =
-      List.rev
-        (List.fold_left
-           (fun acc (k, _) -> if List.mem k acc then acc else k :: acc)
-           [] grid)
-    in
-    let groups =
-      List.map
-        (fun k ->
-          ( k,
-            List.filter_map
-              (fun (k', tag) -> if k' = k then Some tag else None)
-              grid ))
-        keys
-    in
-    let group_results =
-      cells settings ~table
-        ~label:(fun (k, tags) ->
-          let kl = key_label k in
-          Printf.sprintf "%sfused[%s]"
-            (if kl = "" then "" else kl ^ "/")
-            (String.concat "," (List.map tag_label tags)))
-        ~f:(fun (k, tags) ->
-          let schemes = List.map (scheme_of k) tags in
-          let rs = Runner.run_fused ~spec ~schemes (trace_for k) in
-          List.iter Validate.assert_valid rs;
-          rs)
-        groups
-    in
-    let by_cell =
-      List.concat
-        (List.map2
-           (fun (k, tags) rs -> List.map2 (fun tag r -> ((k, tag), r)) tags rs)
-           groups group_results)
-    in
-    List.map (fun cell -> List.assoc cell by_cell) grid
-  end
+  cells settings ~table ~label:cell_label
+    ~f:(fun (k, tag) ->
+      let r = Runner.run ~spec ~scheme:(scheme_of k tag) (trace_for k) in
+      Validate.assert_valid r;
+      r)
+    grid
 
 let improvement_table ?(paper = []) rows =
   let t =
@@ -1682,8 +1633,8 @@ let online_tags = [ "baseline"; "SIP (PGO)"; "dfp-stop"; "hybrid (PGO)"; "online
 
 (* Unlike every PGO row, the online cell's spec carries the controller
    and its scheme is plain [Baseline]: all preloading it does is learned
-   from its own run.  Cells get their own specs (no [scheme_grid]): a
-   fused group would share one controller across schemes. *)
+   from its own run, so cells get their own specs (no [scheme_grid],
+   whose cells share one). *)
 let online_scheme_and_spec settings ?fault_plan name tag =
   let spec ?online () =
     Runner.Spec.make ~config:(runner_config settings) ?fault_plan

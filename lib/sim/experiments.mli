@@ -27,18 +27,10 @@ type settings = {
       (** Directory for per-table cell journals ({!Job_pool.run_hardened});
           enables [resume]. *)
   resume : bool;  (** Reuse journaled cells from an interrupted run. *)
-  fused : bool;
-      (** Collapse each trace's scheme cells into one fused
-          {!Runner.run_fused} job (the default): the trace is replayed
-          once per (workload, config) group instead of once per cell,
-          and {!Job_pool} parallelism applies across groups.  [false]
-          restores one job per cell — the reference path; both print
-          identical bytes (the fused/per-cell contract, diffed in CI). *)
 }
 
 val default : settings
-(** 2048 EPC pages, ref input 0, full sweeps, serial, fused replay, no
-    hardening. *)
+(** 2048 EPC pages, ref input 0, full sweeps, serial, no hardening. *)
 
 val quick : settings
 (** Smaller EPC and trimmed sweeps for fast integration tests. *)
@@ -72,6 +64,12 @@ val plan_for :
 (** Profile the workload on the train input and derive its SIP plan —
     the PGO step every SIP/hybrid experiment (and the chaos matrix)
     shares. *)
+
+val prewarm : settings -> ?input:Workload.Input.t -> string list -> unit
+(** Compile each named workload's trace (on [input], default the ref
+    input) into the process-wide arena memo.  Called before a matrix
+    forks, so every worker inherits the compiled arenas copy-on-write
+    instead of compiling its own. *)
 
 val settings_key : settings -> string
 (** The settings' contribution to a cell-journal key: journals written

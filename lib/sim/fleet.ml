@@ -255,6 +255,9 @@ type cell = { c_tag : string; c_mode : epc_mode; c_outcome : outcome }
 let matrix ?(jobs = 1) ?(config = default_config) ?(fault_plan = Fault_plan.none)
     ?(input_label = "") ?online ~scheme_for ~tags ~modes tenants =
   if tenants = [] then invalid_arg "Fleet.matrix: empty fleet";
+  (* Compile the tenants' traces before the cells fork, so the workers
+     inherit the arenas instead of each compiling its own. *)
+  List.iter (fun t -> ignore (Trace_arena.compile t.trace)) tenants;
   let grid =
     List.concat_map (fun tag -> List.map (fun mode -> (tag, mode)) modes) tags
   in

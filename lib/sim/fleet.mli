@@ -120,7 +120,9 @@ val matrix :
     workers ({!Job_pool}; submission order, so output is byte-identical
     at any [-j]).  [scheme_for tag label] supplies each tenant's scheme
     for the cell (called inside the worker — SIP plan profiling is paid
-    per cell, not serialised through the parent).  Every outcome passes
+    per cell, not serialised through the parent); the tenants' traces
+    are compiled before any cell forks, so workers share their arenas.
+    Every outcome passes
     {!assert_valid} in its worker.  The input [tenant]s' own [scheme]
     fields are placeholders. *)
 

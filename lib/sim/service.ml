@@ -480,6 +480,9 @@ let () =
 
 let matrix ?(jobs = 1) ?timeout ?retries ?(keep_going = false) ?config
     ?fault_plan ?input_label ~scheme_for ~tags trace =
+  (* Compile the trace before the cells fork, so the workers inherit the
+     arena instead of each compiling its own. *)
+  ignore (Trace_arena.compile trace);
   let jobs_list =
     List.map
       (fun tag ->

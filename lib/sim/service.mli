@@ -199,6 +199,8 @@ val matrix :
 (** One {!run} per tag, fanned through {!Job_pool} ([jobs] workers,
     submission-order merge) with each outcome {!assert_valid}ed in its
     worker.  Results pair each tag with its outcome, in [tags] order.
+    The trace is compiled before any cell forks, so workers share its
+    arena.
 
     With any of [timeout] (seconds per attempt), [retries] or
     [keep_going] set, cells run through {!Job_pool.run_hardened}: hung

@@ -195,100 +195,87 @@ let chrome_trace (r : Runner.result) =
 (* Result rows: JSONL / CSV                                            *)
 (* ------------------------------------------------------------------ *)
 
-let row_fields (r : Runner.result) =
-  let m = r.metrics in
-  let d = r.diagnostics in
+(* The flattened row: one (name, cell) pair per field, each cell a JSON
+   literal.  The JSONL keys and the CSV header both come from this one
+   list, so the two formats cannot drift apart. *)
+let columns : (string * (Runner.result -> string)) list =
+  let int name f = (name, fun r -> string_of_int (f r)) in
+  let bool name f = (name, fun r -> if f r then "true" else "false") in
+  let metric name f = int name (fun (r : Runner.result) -> f r.metrics) in
+  let diag name f = int name (fun (r : Runner.result) -> f r.diagnostics) in
+  let online name ~none f =
+    ( name,
+      fun (r : Runner.result) ->
+        match r.diagnostics.Runner.online with
+        | None -> none
+        | Some s -> f s )
+  in
   [
-    ("workload", str r.workload);
-    ("input", str r.input);
-    ("scheme", str r.scheme);
-    ("cycles", string_of_int r.cycles);
-    ("final_now", string_of_int r.final_now);
-    ("cyc_compute", string_of_int m.cyc_compute);
-    ("cyc_access", string_of_int m.cyc_access);
-    ("cyc_aex", string_of_int m.cyc_aex);
-    ("cyc_eresume", string_of_int m.cyc_eresume);
-    ("cyc_os_handler", string_of_int m.cyc_os_handler);
-    ("cyc_load_wait", string_of_int m.cyc_load_wait);
-    ("cyc_bitmap_check", string_of_int m.cyc_bitmap_check);
-    ("cyc_notify", string_of_int m.cyc_notify);
-    ("cyc_sip_wait", string_of_int m.cyc_sip_wait);
-    ("cyc_restart", string_of_int m.cyc_restart);
-    ("accesses", string_of_int m.accesses);
-    ("faults", string_of_int m.faults);
-    ("faults_in_flight", string_of_int m.faults_in_flight);
-    ("faults_already_present", string_of_int m.faults_already_present);
-    ("total_faults", string_of_int (Metrics.total_faults m));
-    ("preloads_issued", string_of_int m.preloads_issued);
-    ("preloads_rejected_breaker", string_of_int m.preloads_rejected_breaker);
-    ("preloads_completed", string_of_int m.preloads_completed);
-    ("preloads_aborted", string_of_int m.preloads_aborted);
-    ("preloads_taken_over", string_of_int m.preloads_taken_over);
-    ("preloads_skipped", string_of_int m.preloads_skipped);
-    ("preload_hits", string_of_int m.preload_hits);
-    ("preload_evicted_unused", string_of_int m.preload_evicted_unused);
-    ("evictions", string_of_int m.evictions);
-    ("sip_checks", string_of_int m.sip_checks);
-    ("sip_notifies", string_of_int m.sip_notifies);
-    ("scans", string_of_int m.scans);
-    ("crashes", string_of_int m.crashes);
-    ("crash_pages_lost", string_of_int m.crash_pages_lost);
-    ("dfp_stopped", if r.dfp_stopped then "true" else "false");
-    ("instrumentation_points", string_of_int r.instrumentation_points);
-    ("pending_preloads", string_of_int d.Runner.pending_preloads);
-    ("in_flight_preloads", string_of_int d.Runner.in_flight_preloads);
+    ("workload", fun r -> str r.Runner.workload);
+    ("input", fun r -> str r.Runner.input);
+    ("scheme", fun r -> str r.Runner.scheme);
+    int "cycles" (fun r -> r.Runner.cycles);
+    int "final_now" (fun r -> r.Runner.final_now);
+    metric "cyc_compute" (fun m -> m.cyc_compute);
+    metric "cyc_access" (fun m -> m.cyc_access);
+    metric "cyc_aex" (fun m -> m.cyc_aex);
+    metric "cyc_eresume" (fun m -> m.cyc_eresume);
+    metric "cyc_os_handler" (fun m -> m.cyc_os_handler);
+    metric "cyc_load_wait" (fun m -> m.cyc_load_wait);
+    metric "cyc_bitmap_check" (fun m -> m.cyc_bitmap_check);
+    metric "cyc_notify" (fun m -> m.cyc_notify);
+    metric "cyc_sip_wait" (fun m -> m.cyc_sip_wait);
+    metric "cyc_restart" (fun m -> m.cyc_restart);
+    metric "accesses" (fun m -> m.accesses);
+    metric "faults" (fun m -> m.faults);
+    metric "faults_in_flight" (fun m -> m.faults_in_flight);
+    metric "faults_already_present" (fun m -> m.faults_already_present);
+    metric "total_faults" Metrics.total_faults;
+    metric "preloads_requested" (fun m -> m.preloads_requested);
+    metric "preloads_rejected_range" (fun m -> m.preloads_rejected_range);
+    metric "preloads_rejected_dup" (fun m -> m.preloads_rejected_dup);
+    metric "preloads_issued" (fun m -> m.preloads_issued);
+    metric "preloads_rejected_breaker" (fun m -> m.preloads_rejected_breaker);
+    metric "preloads_completed" (fun m -> m.preloads_completed);
+    metric "preloads_aborted" (fun m -> m.preloads_aborted);
+    metric "preloads_taken_over" (fun m -> m.preloads_taken_over);
+    metric "preloads_skipped" (fun m -> m.preloads_skipped);
+    metric "preload_hits" (fun m -> m.preload_hits);
+    metric "preload_evicted_unused" (fun m -> m.preload_evicted_unused);
+    metric "evictions" (fun m -> m.evictions);
+    metric "sip_checks" (fun m -> m.sip_checks);
+    metric "sip_notifies" (fun m -> m.sip_notifies);
+    metric "scans" (fun m -> m.scans);
+    metric "crashes" (fun m -> m.crashes);
+    metric "crash_pages_lost" (fun m -> m.crash_pages_lost);
+    bool "dfp_stopped" (fun r -> r.Runner.dfp_stopped);
+    int "instrumentation_points" (fun r -> r.Runner.instrumentation_points);
+    diag "pending_preloads" (fun d -> d.Runner.pending_preloads);
+    diag "in_flight_preloads" (fun d -> d.Runner.in_flight_preloads);
     ( "in_flight_kind",
-      str
-        (match d.Runner.in_flight_kind with
-        | None -> "none"
-        | Some k -> kind_str k) );
-    ("resident_at_end", string_of_int d.Runner.resident_at_end);
-    ("events_truncated", if d.Runner.events_truncated then "true" else "false");
-    ( "online_mode",
-      str
-        (match d.Runner.online with
-        | None -> "none"
-        | Some s -> Preload.Online.mode_name s.Preload.Online.final_mode) );
-    ( "online_transitions",
-      string_of_int
-        (match d.Runner.online with
-        | None -> 0
-        | Some s -> List.length s.Preload.Online.s_transitions) );
-    ( "online_phase_shifts",
-      string_of_int
-        (match d.Runner.online with
-        | None -> 0
-        | Some s -> s.Preload.Online.s_phase_shifts) );
-    ( "online_instrumented",
-      string_of_int
-        (match d.Runner.online with
-        | None -> 0
-        | Some s -> s.Preload.Online.s_instrumented) );
+      fun r ->
+        str
+          (match r.Runner.diagnostics.Runner.in_flight_kind with
+          | None -> "none"
+          | Some k -> kind_str k) );
+    diag "resident_at_end" (fun d -> d.Runner.resident_at_end);
+    bool "events_truncated" (fun r ->
+        r.Runner.diagnostics.Runner.events_truncated);
+    online "online_mode" ~none:(str "none") (fun s ->
+        str (Preload.Online.mode_name s.Preload.Online.final_mode));
+    online "online_transitions" ~none:"0" (fun s ->
+        string_of_int (List.length s.Preload.Online.s_transitions));
+    online "online_phase_shifts" ~none:"0" (fun s ->
+        string_of_int s.Preload.Online.s_phase_shifts);
+    online "online_instrumented" ~none:"0" (fun s ->
+        string_of_int s.Preload.Online.s_instrumented);
   ]
+
+let row_fields r = List.map (fun (name, cell) -> (name, cell r)) columns
 
 let jsonl_row r = obj (row_fields r)
 
-let csv_header =
-  (* Field order is fixed by [row_fields]; building the header from a
-     dummy evaluation would need a result, so keep the literal in sync
-     via the test that zips header and row widths. *)
-  String.concat ","
-    [
-      "workload"; "input"; "scheme"; "cycles"; "final_now"; "cyc_compute";
-      "cyc_access"; "cyc_aex"; "cyc_eresume"; "cyc_os_handler"; "cyc_load_wait";
-      "cyc_bitmap_check"; "cyc_notify"; "cyc_sip_wait"; "cyc_restart";
-      "accesses"; "faults";
-      "faults_in_flight"; "faults_already_present"; "total_faults";
-      "preloads_issued"; "preloads_rejected_breaker"; "preloads_completed";
-      "preloads_aborted";
-      "preloads_taken_over"; "preloads_skipped"; "preload_hits";
-      "preload_evicted_unused"; "evictions"; "sip_checks"; "sip_notifies";
-      "scans"; "crashes"; "crash_pages_lost"; "dfp_stopped";
-      "instrumentation_points"; "pending_preloads";
-      "in_flight_preloads"; "in_flight_kind"; "resident_at_end";
-      "events_truncated"; "online_mode"; "online_transitions";
-      "online_phase_shifts"; "online_instrumented";
-    ]
+let csv_header = String.concat "," (List.map fst columns)
 
 let csv_cell value =
   (* JSON string values arrive quoted; CSV wants them bare (workload and

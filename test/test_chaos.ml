@@ -226,11 +226,7 @@ let test_matrix_clean_and_j_invariant () =
   let o2 = Chaos.run (tiny_settings 2) in
   checkb "cells identical at -j2" true (o1.Chaos.cells = o2.Chaos.cells);
   let o3 = Chaos.run (tiny_settings 1) in
-  checkb "repeat run identical" true (o1.Chaos.cells = o3.Chaos.cells);
-  (* The fused/per-cell contract: the default fused matrix above must be
-     field-for-field what one job per cell computes. *)
-  let per_cell = Chaos.run { (tiny_settings 1) with Chaos.fused = false } in
-  checkb "fused == per-cell" true (o1.Chaos.cells = per_cell.Chaos.cells)
+  checkb "repeat run identical" true (o1.Chaos.cells = o3.Chaos.cells)
 
 let test_matrix_invariants_full_bank () =
   (* Every bank plan, including the perfect storm, must leave the
@@ -253,16 +249,16 @@ let contains s sub =
   at 0
 
 let test_matrix_keeps_going_past_dead_cell () =
-  (* Injected failure in one scheme's cells (per-cell mode, where each
-     cell is its own job): every other cell must still come back, and
-     the failures must name the injected cells. *)
+  (* Injected failure in one scheme's cells (each cell is its own job):
+     every other cell must still come back, and the failures must name
+     the injected cells. *)
   Unix.putenv "SGX_PRELOAD_FAIL_CELL" "/SIP/";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "SGX_PRELOAD_FAIL_CELL" "")
     (fun () ->
       let o =
         Chaos.run
-          { (tiny_settings 2) with Chaos.keep_going = true; fused = false }
+          { (tiny_settings 2) with Chaos.keep_going = true }
       in
       checki "SIP cells failed (3 plans incl. fault-free)" 3
         (List.length o.Chaos.failed);
@@ -272,29 +268,6 @@ let test_matrix_keeps_going_past_dead_cell () =
         (fun (f : Sim.Job_pool.failure) ->
           checkb "failure names a SIP cell" true (contains f.label "/SIP/"))
         o.Chaos.failed)
-
-let test_matrix_keeps_going_past_dead_fused_group () =
-  (* Fused mode bundles the four scheme cells of a (workload, plan) pair
-     into one job, so a dead job drops exactly that pair's cells and the
-     other pairs survive. *)
-  Unix.putenv "SGX_PRELOAD_FAIL_CELL" "/jittery-channel";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SGX_PRELOAD_FAIL_CELL" "")
-    (fun () ->
-      let o = Chaos.run { (tiny_settings 2) with Chaos.keep_going = true } in
-      checki "one fused group failed" 1 (List.length o.Chaos.failed);
-      checki "other 8 cells survived" 8 (List.length o.Chaos.cells);
-      checkb "not ok" false (Chaos.ok o);
-      List.iter
-        (fun (f : Sim.Job_pool.failure) ->
-          checkb "failure names the fused group" true
-            (contains f.label "fused[" && contains f.label "/jittery-channel"))
-        o.Chaos.failed;
-      List.iter
-        (fun (c : Chaos.cell) ->
-          checkb "no jittery-channel cell survived" true
-            (c.Chaos.plan <> "jittery-channel"))
-        o.Chaos.cells)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -324,7 +297,5 @@ let () =
           slow "clean, -j invariant, repeatable" test_matrix_clean_and_j_invariant;
           slow "full bank holds invariants" test_matrix_invariants_full_bank;
           slow "keeps going past dead cells" test_matrix_keeps_going_past_dead_cell;
-          slow "keeps going past dead fused groups"
-            test_matrix_keeps_going_past_dead_fused_group;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* End-to-end exit-code contract of the CLI, exercised through the real
    executable: validate/chaos/experiment must exit nonzero exactly when
-   a check fails or a cell is lost, and the chaos matrix must emit
-   byte-identical stdout at every -j and across an interrupt-and-resume.
+   a check fails or a cell is lost, fleet/service must reject a bad
+   scheme with exit 1, and the chaos matrix must emit byte-identical
+   stdout at every -j and across an interrupt-and-resume.
 
    Cell failures are injected with SGX_PRELOAD_FAIL_CELL (a substring of
    a cell label, honoured by Job_pool workers), so the failure paths run
@@ -73,17 +74,14 @@ let test_chaos_unknown_plan_rejected () =
 
 let test_chaos_failed_cells_exit_nonzero () =
   let env = [ ("SGX_PRELOAD_FAIL_CELL", "/SIP/") ] in
-  (* --no-fused: the "/SIP/" pattern targets per-cell job labels; the
-     fused path groups a plan's schemes into one job (its failure
-     containment is covered in test_chaos.ml). *)
   (* Without --keep-going the failures abort the matrix... *)
-  let code, _, err = run_cli ~env (tiny_chaos [ "--no-fused"; "-j"; "2" ]) in
+  let code, _, err = run_cli ~env (tiny_chaos [ "-j"; "2" ]) in
   checkb "abort: exit nonzero" true (code <> 0);
   checkb "abort: stderr names a lost cell" true (contains err "/SIP/");
   (* ...with it, the rest of the matrix still prints, but the exit code
      must stay nonzero. *)
   let code, out, _ =
-    run_cli ~env (tiny_chaos [ "--no-fused"; "-j"; "2"; "--keep-going" ])
+    run_cli ~env (tiny_chaos [ "-j"; "2"; "--keep-going" ])
   in
   checkb "keep-going: exit nonzero" true (code <> 0);
   checkb "keep-going: survivors reported" true
@@ -104,18 +102,15 @@ let test_chaos_interrupt_and_resume () =
         (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      (* --no-fused throughout: the "/SIP/" kill pattern matches per-cell
-         job labels, and the resumed run must share the interrupted run's
-         journal key (the fused flag is part of it). *)
-      let _, clean, _ = run_cli (tiny_chaos [ "--no-fused" ]) in
+      let _, clean, _ = run_cli (tiny_chaos []) in
       let code, _, _ =
         run_cli
           ~env:[ ("SGX_PRELOAD_FAIL_CELL", "/SIP/") ]
-          (tiny_chaos [ "--no-fused"; "--keep-going"; "--journal"; dir ])
+          (tiny_chaos [ "--keep-going"; "--journal"; dir ])
       in
       checkb "interrupted run exits nonzero" true (code <> 0);
       let code, resumed, _ =
-        run_cli (tiny_chaos [ "--no-fused"; "--journal"; dir; "--resume" ])
+        run_cli (tiny_chaos [ "--journal"; dir; "--resume" ])
       in
       checki "resumed run exits 0" 0 code;
       checkb "resumed stdout identical to a clean run" true (clean = resumed))
@@ -137,6 +132,31 @@ let test_experiment_keep_going_exit_codes () =
   checkb "failed cells make it exit nonzero" true (code <> 0);
   checkb "stderr names the experiment" true (contains err "fig2")
 
+(* A bad scheme string in a forked matrix must be rejected in the
+   parent, before any cell forks: a worker that exits only kills itself,
+   and the pool then reports an internal error (exit 125). *)
+let check_unknown_scheme_rejected args =
+  List.iter
+    (fun jobs ->
+      let code, _, err = run_cli (args @ [ "-j"; jobs ]) in
+      checki ("-j " ^ jobs ^ ": exit 1") 1 code;
+      checkb
+        ("-j " ^ jobs ^ ": stderr names the scheme")
+        true
+        (contains err "unknown scheme \"bogus\"");
+      checkb
+        ("-j " ^ jobs ^ ": no internal error")
+        false (contains err "internal error"))
+    [ "1"; "2" ]
+
+let test_service_unknown_scheme_exits_1 () =
+  check_unknown_scheme_rejected
+    [ "service"; "lbm"; "--schemes"; "baseline,bogus" ]
+
+let test_fleet_unknown_scheme_exits_1 () =
+  check_unknown_scheme_rejected
+    [ "fleet"; "lbm"; "xz"; "--schemes"; "bogus"; "--mode"; "both" ]
+
 let () =
   let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "cli"
@@ -150,5 +170,7 @@ let () =
           slow "chaos interrupt and resume" test_chaos_interrupt_and_resume;
           slow "validate clean exits 0" test_validate_exit_zero_on_clean_run;
           slow "experiment keep-going exit codes" test_experiment_keep_going_exit_codes;
+          slow "service unknown scheme exits 1" test_service_unknown_scheme_exits_1;
+          slow "fleet unknown scheme exits 1" test_fleet_unknown_scheme_exits_1;
         ] );
     ]

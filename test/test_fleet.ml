@@ -19,7 +19,6 @@ module Runner = Sim.Runner
 module Fleet = Sim.Fleet
 module Validate = Sim.Validate
 module Fault_plan = Sim.Fault_plan
-module Macro_bench = Sim.Macro_bench
 module Scheme = Preload.Scheme
 module Enclave = Sgxsim.Enclave
 module Arbiter = Sgxsim.Load_channel.Arbiter
@@ -29,15 +28,7 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let trace_for seed =
-  Macro_bench.queue_stress
-    {
-      Macro_bench.smoke with
-      Macro_bench.label = Printf.sprintf "fleet-diff-%d" seed;
-      events = 4_000;
-      threads = 3;
-      streams_per_thread = 5;
-      seed;
-    }
+  Stress_trace.make ~seed (Printf.sprintf "fleet-diff-%d" seed)
 
 let config = { Runner.default_config with Runner.epc_pages = 128 }
 

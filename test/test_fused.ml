@@ -8,7 +8,6 @@
 
 module Runner = Sim.Runner
 module Fault_plan = Sim.Fault_plan
-module Macro_bench = Sim.Macro_bench
 module Scheme = Preload.Scheme
 module Metrics = Sgxsim.Metrics
 module Histogram = Repro_util.Histogram
@@ -19,15 +18,7 @@ let checkb = Alcotest.(check bool)
 (* Small but non-trivial stress trace: multi-threaded, queue-heavy, with
    footprint >> EPC so every scheme faults, preloads, evicts and scans. *)
 let trace_for seed =
-  Macro_bench.queue_stress
-    {
-      Macro_bench.smoke with
-      Macro_bench.label = Printf.sprintf "fused-diff-%d" seed;
-      events = 4_000;
-      threads = 3;
-      streams_per_thread = 5;
-      seed;
-    }
+  Stress_trace.make ~seed (Printf.sprintf "fused-diff-%d" seed)
 
 let config = { Runner.default_config with Runner.epc_pages = 128 }
 

@@ -377,21 +377,6 @@ let test_fig12_rows_j_invariant () =
   checkb "fig12 identical at -j4" true
     (Experiments.fig12_rows quick1 = Experiments.fig12_rows quick4)
 
-let test_macro_bench_j_invariant () =
-  (* Wall-clock columns measure the machine; every simulated column must
-     be identical whether the five replays fork or not. *)
-  let strip (r : Sim.Macro_bench.report) =
-    List.map
-      (fun (row : Sim.Macro_bench.row) ->
-        (row.scheme, row.sim_cycles, row.faults, row.preloads_issued,
-         row.pending_at_end))
-      r.rows
-  in
-  let smoke = { Sim.Macro_bench.smoke with events = 5_000 } in
-  checkb "macro-bench rows identical at -j3" true
-    (strip (Sim.Macro_bench.run ~jobs:1 smoke)
-    = strip (Sim.Macro_bench.run ~jobs:3 smoke))
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -428,6 +413,5 @@ let () =
           slow "fig6 -j invariant" test_fig6_sweep_j_invariant;
           slow "fig8 -j invariant" test_fig8_rows_j_invariant;
           slow "fig12 -j invariant" test_fig12_rows_j_invariant;
-          slow "macro-bench -j invariant" test_macro_bench_j_invariant;
         ] );
     ]

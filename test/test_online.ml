@@ -5,7 +5,6 @@
    controller takes carries a CLOCK-scan timestamp). *)
 
 module Runner = Sim.Runner
-module Macro_bench = Sim.Macro_bench
 module Scheme = Preload.Scheme
 module Online = Preload.Online
 module Metrics = Sgxsim.Metrics
@@ -24,15 +23,7 @@ let mixed_trace () =
 
 (* Multi-threaded queue-stress trace for the randomized properties. *)
 let stress_trace seed =
-  Macro_bench.queue_stress
-    {
-      Macro_bench.smoke with
-      Macro_bench.label = Printf.sprintf "online-prop-%d" seed;
-      events = 4_000;
-      threads = 3;
-      streams_per_thread = 5;
-      seed;
-    }
+  Stress_trace.make ~seed (Printf.sprintf "online-prop-%d" seed)
 
 let spec ?fault_plan ?online ?(log_capacity = 0) () =
   Runner.Spec.make

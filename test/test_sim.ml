@@ -181,9 +181,8 @@ let test_queue_stress_latency_fits () =
      wait can outlast it many times over, and every such observation
      fell into overflow, biasing the reported mean low.  Auto-expansion
      must keep the overflow bucket empty on this trace too. *)
-  let s = { Sim.Macro_bench.smoke with events = 20_000 } in
-  let stress = Sim.Macro_bench.queue_stress s in
-  let config = { Runner.default_config with epc_pages = s.epc_pages } in
+  let stress = Stress_trace.make ~threads:4 ~streams:16 ~events:20_000 "smoke" in
+  let config = { Runner.default_config with epc_pages = 1024 } in
   let r = Runner.run ~spec:(Runner.Spec.make ~config ()) ~scheme:Scheme.dfp_default stress in
   checkb "stress run faults at all" true (Metrics.total_faults r.metrics > 0);
   List.iter

@@ -308,6 +308,22 @@ let test_csv_header_matches_row () =
   let get key = List.assoc key (List.combine header row) in
   Alcotest.(check string) "workload cell" "export-didactic" (get "workload");
   Alcotest.(check string) "cycles cell" (string_of_int r.cycles) (get "cycles");
+  (* The request-disposition counters behind Validate's preload identity
+     are part of the flattened counter set too; a DFP run makes them
+     nonzero. *)
+  let d = run_didactic Scheme.dfp_default in
+  let dfp_header, dfp_row = csv_lines d in
+  let dfp_get key =
+    List.assoc key (List.combine (split dfp_header) (split dfp_row))
+  in
+  checkb "dfp requests preloads" true (d.metrics.preloads_requested > 0);
+  List.iter
+    (fun (key, v) -> Alcotest.(check string) key (string_of_int v) (dfp_get key))
+    [
+      ("preloads_requested", d.metrics.preloads_requested);
+      ("preloads_rejected_range", d.metrics.preloads_rejected_range);
+      ("preloads_rejected_dup", d.metrics.preloads_rejected_dup);
+    ];
   (* The JSONL object exposes exactly the CSV columns. *)
   match parse_json (jsonl r) with
   | Obj fields ->
