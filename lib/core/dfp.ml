@@ -59,21 +59,28 @@ let predictor_for t thread =
       Hashtbl.add t.others key p;
       p
 
-(* Refresh a stream's pending window against what is actually still
-   queued, then queue the new predictions and record which ones the
-   enclave accepted.  Membership is the enclave's per-vpage queue index
-   (O(1) per page) — materializing the whole queue list and running
-   [List.mem] against it per prediction made every fault O(queue). *)
+(* A stream's new pending window, built in one pass: the old pending
+   pages still queued (checked against the enclave's per-vpage queue
+   index, O(1) each, before any new request can start a load), then the
+   predictions the enclave accepted, each in order.  Top-level
+   recursions, so the refresh allocates only the cells it keeps. *)
+let rec accepted enclave ~now = function
+  | [] -> []
+  | p :: rest ->
+    if Enclave.request_preload enclave ~now p then
+      p :: accepted enclave ~now rest
+    else accepted enclave ~now rest
+
+let rec still_queued enclave ~now predict = function
+  | [] -> accepted enclave ~now predict
+  | p :: rest ->
+    if Enclave.preload_queued enclave p then
+      p :: still_queued enclave ~now predict rest
+    else still_queued enclave ~now predict rest
+
 let issue_preloads enclave ~now stream predict =
-  let old_pending =
-    List.filter
-      (fun p -> Enclave.preload_queued enclave p)
-      stream.Stream_predictor.pending
-  in
-  let queued =
-    List.filter (fun p -> Enclave.request_preload enclave ~now p) predict
-  in
-  Stream_predictor.set_pending stream (old_pending @ queued)
+  Stream_predictor.set_pending stream
+    (still_queued enclave ~now predict stream.Stream_predictor.pending)
 
 let on_fault t enclave (ctx : Enclave.fault_ctx) =
   if not t.stopped then begin
@@ -83,13 +90,11 @@ let on_fault t enclave (ctx : Enclave.fault_ctx) =
     | Extend { stream; predict } -> issue_preloads enclave ~now stream predict
     | Restart_within { stream = _; abort } ->
       ignore (Enclave.abort_pending_preloads_pages enclave ~now abort)
-    | New_stream { stream = _; replaced } -> (
-      match replaced with
-      | Some dead ->
-        let abort = dead.Stream_predictor.pending in
-        if abort <> [] then
-          ignore (Enclave.abort_pending_preloads_pages enclave ~now abort)
-      | None -> ())
+    | New_stream { stream = _; replaced = None } -> ()
+    | New_stream { stream = _; replaced = Some dead } -> (
+      match dead.Stream_predictor.pending with
+      | [] -> ()
+      | abort -> ignore (Enclave.abort_pending_preloads_pages enclave ~now abort))
   end
 
 (* The §4.2 stop decision, audited against the paper's semantics:

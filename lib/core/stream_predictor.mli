@@ -18,16 +18,29 @@
 
     Streams acquire a direction (ascending or descending) from their
     second sequential fault; until then both neighbours count as
-    sequential. *)
+    sequential.
 
-type stream = {
+    The list is kept as records that never move plus an int array of
+    their MRU order, so a promotion shifts ints, not pointers.  A fault
+    allocates only its reaction: the predicted pages of an [Extend], and
+    the new record of a [New_stream].  Each stream keeps the bounds of
+    its pending pages, so the pending scan walks a stream's list only
+    when the faulted page lies between them. *)
+
+type stream = private {
   mutable stpn : int;  (** Stream tail page number: the last faulted page. *)
   mutable dir : int;  (** +1 ascending, -1 descending, 0 undetermined. *)
   mutable pending : int list;
       (** Pages this stream asked to preload that are believed still
           queued; used for the within-window abort check.  Maintained by
           the caller via {!set_pending}. *)
+  mutable pending_lo : int;
+      (** Least page of [pending]; [max_int] when it is empty. *)
+  mutable pending_hi : int;
+      (** Greatest page of [pending]; [min_int] when it is empty. *)
 }
+(** Read-only outside this module: {!on_fault} and {!set_pending} keep
+    the fields consistent. *)
 
 type reaction =
   | Extend of { stream : stream; predict : int list }
@@ -55,6 +68,7 @@ val on_fault : t -> int -> reaction
 (** Feed one fault (page number only — all the OS can see). *)
 
 val set_pending : stream -> int list -> unit
+(** Replace a stream's pending pages (and their bounds).  O(list). *)
 
 val streams : t -> stream list
 (** Current entries, most recently used first (inspection/testing). *)

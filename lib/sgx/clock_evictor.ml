@@ -9,10 +9,17 @@ let max_owner = owner_mask - 1
 
 type t = {
   slots : int array; (* (vpage lsl owner_bits) lor owner, -1 when free *)
-  mutable free : int list;
+  free : int array;
+      (* Stack of free slot indices, top at [free_top - 1].  Popped on
+         insert, pushed on remove: the last-freed slot is reused first,
+         and a fresh pool hands out 0, 1, 2, ...  Slot order is what the
+         hand sweeps, so this order is part of the simulated result. *)
+  mutable free_top : int;
   mutable hand : int;
   mutable used : int;
 }
+
+type verdict = Pass | Spare | Take
 
 exception No_evictable_page
 
@@ -20,7 +27,8 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Clock_evictor.create: capacity must be positive";
   {
     slots = Array.make capacity (-1);
-    free = List.init capacity (fun i -> i);
+    free = Array.init capacity (fun i -> capacity - 1 - i);
+    free_top = capacity;
     hand = 0;
     used = 0;
   }
@@ -33,76 +41,69 @@ let pack ~owner vpage = (vpage lsl owner_bits) lor owner
 let frame_owner w = w land owner_mask
 let frame_vpage w = w lsr owner_bits
 
-let insert ?(owner = 0) t vpage =
+let insert t ~owner vpage =
   if owner < 0 || owner > max_owner then
     invalid_arg "Clock_evictor.insert: owner out of range";
   if vpage < 0 then invalid_arg "Clock_evictor.insert: negative vpage";
-  match t.free with
-  | [] -> invalid_arg "Clock_evictor.insert: EPC full"
-  | slot :: rest ->
-    t.free <- rest;
-    t.slots.(slot) <- pack ~owner vpage;
-    t.used <- t.used + 1;
-    slot
+  if t.free_top = 0 then invalid_arg "Clock_evictor.insert: EPC full";
+  t.free_top <- t.free_top - 1;
+  let slot = t.free.(t.free_top) in
+  t.slots.(slot) <- pack ~owner vpage;
+  t.used <- t.used + 1;
+  slot
 
 let remove t ~slot =
   if slot < 0 || slot >= Array.length t.slots then
     invalid_arg "Clock_evictor.remove: slot out of range";
   if t.slots.(slot) = -1 then invalid_arg "Clock_evictor.remove: slot already free";
   t.slots.(slot) <- -1;
-  t.free <- slot :: t.free;
+  t.free.(t.free_top) <- slot;
+  t.free_top <- t.free_top + 1;
   t.used <- t.used - 1
 
-let advance t = t.hand <- (t.hand + 1) mod Array.length t.slots
+let check_slot t slot op =
+  if slot < 0 || slot >= Array.length t.slots || t.slots.(slot) = -1 then
+    invalid_arg ("Clock_evictor." ^ op ^ ": slot not in use")
 
-let choose_victim_owned t ~pinned ~accessed ~clear =
-  if t.used = 0 then invalid_arg "Clock_evictor.choose_victim: EPC empty";
-  (* At most two revolutions: the first may clear every bit, the second
-     must then find a victim.  A pinned frame is passed over without a
-     clear, so it never ages toward victimhood; if every resident frame
-     is pinned the budget runs dry and the typed error surfaces (the
-     old code raised a bare invalid_arg here, which callers could not
-     usefully catch). *)
-  let budget = ref (2 * Array.length t.slots) in
-  let rec sweep () =
-    if !budget <= 0 then raise No_evictable_page
-    else begin
-      decr budget;
-      let w = t.slots.(t.hand) in
-      if w = -1 then begin
-        advance t;
-        sweep ()
-      end
-      else begin
-        let owner = frame_owner w and vpage = frame_vpage w in
-        if pinned ~owner ~vpage then begin
-          advance t;
-          sweep ()
-        end
-        else if accessed ~owner ~vpage then begin
-          clear ~owner ~vpage;
-          advance t;
-          sweep ()
-        end
-        else begin
-          advance t;
-          (owner, vpage)
-        end
-      end
+let slot_owner t slot =
+  check_slot t slot "slot_owner";
+  frame_owner t.slots.(slot)
+
+let slot_vpage t slot =
+  check_slot t slot "slot_vpage";
+  frame_vpage t.slots.(slot)
+
+let advance t =
+  let h = t.hand + 1 in
+  t.hand <- (if h = Array.length t.slots then 0 else h)
+
+(* At most two revolutions: the first may clear every bit, the second
+   must then find a victim.  A pinned frame is passed over without a
+   clear, so it never ages toward victimhood; if every resident frame is
+   pinned the budget runs dry and the typed error surfaces.  A loop over
+   plain ints: the sweep runs once per eviction and allocates nothing. *)
+let rec sweep t probe budget =
+  if budget <= 0 then raise No_evictable_page
+  else begin
+    let slot = t.hand in
+    let w = t.slots.(slot) in
+    if w = -1 then begin
+      advance t;
+      sweep t probe (budget - 1)
     end
-  in
-  sweep ()
+    else
+      match probe ~owner:(frame_owner w) ~vpage:(frame_vpage w) with
+      | Take ->
+        advance t;
+        slot
+      | Pass | Spare ->
+        advance t;
+        sweep t probe (budget - 1)
+  end
 
-let never_pinned ~owner ~vpage =
-  ignore owner;
-  ignore vpage;
-  false
-
-let choose_victim t ~accessed ~clear =
-  snd
-    (choose_victim_owned t ~pinned:never_pinned
-       ~accessed:(fun ~owner:_ ~vpage -> accessed vpage)
-       ~clear:(fun ~owner:_ ~vpage -> clear vpage))
+let choose_victim t probe =
+  if t.used = 0 then invalid_arg "Clock_evictor.choose_victim: EPC empty";
+  sweep t probe (2 * Array.length t.slots)
 
 let scan t f =
   Array.iter (fun w -> if w <> -1 then f (frame_vpage w)) t.slots

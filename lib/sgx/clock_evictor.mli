@@ -8,19 +8,32 @@
     DFP's abort counters.
 
     Frames carry an {e owner} tag so one pool can be shared by a fleet of
-    co-tenant enclaves: the sweep reports (owner, vpage) pairs and its
-    callbacks receive both, letting the caller consult the right page
-    table per frame.  Single-enclave users ignore owners entirely (they
-    default to 0). *)
+    co-tenant enclaves: the sweep hands each frame's (owner, vpage) to
+    the caller's probe, letting it consult the right page table per
+    frame.  A single enclave tags every frame 0.
+
+    Slots are handed out from a stack of free indices: a fresh pool fills
+    slots 0, 1, 2, ... in order, and a freed slot is reused before any
+    other (last freed, first reused).  The hand sweeps slots in index
+    order, so this order decides which page a sweep meets first and is
+    part of the simulated result. *)
 
 type t
+
+type verdict =
+  | Pass
+      (** Pinned: mid-return to a faulting thread.  Passed over with its
+          access bit untouched, so it never ages toward victimhood. *)
+  | Spare
+      (** Access bit was set and the probe has cleared it: the page's
+          second chance.  The hand moves on. *)
+  | Take  (** Access bit clear: this frame is the victim. *)
 
 exception No_evictable_page
 (** The sweep exhausted its two-revolution budget without finding a
     victim: every resident frame is pinned (or kept permanently
-    accessed).  Raised by {!choose_victim_owned} / {!choose_victim};
-    callers decide whether that is a drop-the-preload situation or a
-    hard error. *)
+    accessed).  Raised by {!choose_victim}; callers decide whether that
+    is a drop-the-preload situation or a hard error. *)
 
 val create : capacity:int -> t
 (** An empty EPC with [capacity] frames.
@@ -33,41 +46,39 @@ val used : t -> int
 
 val is_full : t -> bool
 
-val insert : ?owner:int -> t -> int -> int
-(** [insert ?owner t vpage] places a page into a free frame and returns
-    the slot index (to be recorded in the owner's page-table entry).
-    [owner] (default 0) tags the frame for shared-pool sweeps.
+val insert : t -> owner:int -> int -> int
+(** [insert t ~owner vpage] places a page into the most recently freed
+    slot (the lowest never-used one on a fresh pool) and returns the slot
+    index, to be recorded in the owner's page-table entry.  [owner] tags
+    the frame for shared-pool sweeps.
     @raise Invalid_argument if full, if [vpage < 0], or if [owner] is
     outside the 16-bit tag range. *)
 
 val remove : t -> slot:int -> unit
-(** Free a frame by slot index (page evicted or enclave-destroyed).
+(** Free a frame by slot index (page evicted or enclave-destroyed); the
+    slot is the next one {!insert} hands out.
     @raise Invalid_argument if the slot is already free. *)
 
-val choose_victim_owned :
-  t ->
-  pinned:(owner:int -> vpage:int -> bool) ->
-  accessed:(owner:int -> vpage:int -> bool) ->
-  clear:(owner:int -> vpage:int -> unit) ->
-  int * int
-(** [choose_victim_owned t ~pinned ~accessed ~clear] runs the CLOCK
-    sweep over a (possibly shared) pool: pinned frames are passed over
-    untouched (no second-chance clear — a pinned page is mid-return to
-    a faulting thread and must stay put); pages whose access bit is set
-    (per [accessed]) are given a second chance ([clear] is called and
-    the hand advances); the first page with a clear bit is the victim,
-    returned as [(owner, vpage)] {e without} freeing the slot — callers
-    evict via {!remove} once the write-back completes.
-    @raise Invalid_argument if the EPC is empty.
-    @raise No_evictable_page if two full revolutions find only pinned
-    frames. *)
+val slot_owner : t -> int -> int
+(** Owner tag of the page in a slot.
+    @raise Invalid_argument if the slot is free or out of range. *)
 
-val choose_victim : t -> accessed:(int -> bool) -> clear:(int -> unit) -> int
-(** Single-owner view of {!choose_victim_owned}: no frames are pinned
-    and callbacks receive the vpage alone.
+val slot_vpage : t -> int -> int
+(** Page held in a slot.
+    @raise Invalid_argument if the slot is free or out of range. *)
+
+val choose_victim : t -> (owner:int -> vpage:int -> verdict) -> int
+(** [choose_victim t probe] runs the CLOCK sweep over a (possibly
+    shared) pool.  From the hand onward, each occupied frame is shown to
+    [probe], which reads the page's bits in its owner's page table and
+    answers {!Pass} (pinned), {!Spare} (it has just cleared a set access
+    bit) or {!Take}.  The first [Take] ends the sweep with the hand one
+    past the victim; its slot is returned {e without} being freed —
+    callers read it with {!slot_owner} / {!slot_vpage} and evict via
+    {!remove} once the write-back completes.  The sweep allocates
+    nothing.
     @raise Invalid_argument if the EPC is empty.
-    @raise No_evictable_page if the sweep budget runs dry ([accessed]
-    held every frame hot through both revolutions). *)
+    @raise No_evictable_page if two full revolutions find no victim. *)
 
 val scan : t -> (int -> unit) -> unit
 (** [scan t f] visits every resident page once (service-thread pass);

@@ -50,11 +50,53 @@ type t = {
       (* Fault-injection point: maps a load's clean duration to its
          faulted duration (contended paging channel).  Identity by
          default; must never shorten a load — [start_load] clamps. *)
-  mutable epc_budget : at:int -> int -> int;
+  mutable epc_budget : (at:int -> int -> int) option;
       (* Fault-injection point: frames available to this enclave at a
-         given cycle once a co-tenant has taken its slice.  Defaults to
-         the full capacity. *)
+         given cycle once a co-tenant has taken its slice.  [None] (the
+         default) means the full capacity, which residency can never
+         exceed, so budget reconciliation is skipped outright. *)
+  probe : owner:int -> vpage:int -> Clock_evictor.verdict;
+      (* This enclave's CLOCK probe ({!sweep_probe}), built once here so
+         that an eviction allocates no closure. *)
 }
+
+(* Credit a preloaded page's first observed use to the scheme (the paper's
+   AccPreloadCounter).  Called wherever the driver inspects access bits:
+   the service scan, the CLOCK sweep, and eviction. *)
+let harvest t vpage =
+  if
+    Page_table.preloaded t.pt vpage
+    && (not (Page_table.counted t.pt vpage))
+    && Page_table.accessed t.pt vpage
+  then begin
+    Page_table.set_counted t.pt vpage;
+    t.metrics.preload_hits <- t.metrics.preload_hits + 1;
+    t.on_preload_hit t vpage
+  end
+
+(* Resolve a frame's owner tag to its enclave.  Outside a fleet only our
+   own tag can appear in the (private) pool. *)
+let enc_of t o =
+  if o = t.owner then t
+  else
+    match t.peers with
+    | Some peers when o >= 0 && o < Array.length peers -> peers.(o)
+    | Some _ | None ->
+      invalid_arg "Enclave: EPC frame owned by an unlinked tenant"
+
+(* The CLOCK sweep's view of one frame, run by [t]'s evictions.  In a
+   shared pool the frame may belong to a co-tenant: its page table is
+   consulted and its preload hit harvested before the second-chance
+   clear. *)
+let sweep_probe t ~owner ~vpage =
+  let e = enc_of t owner in
+  if Page_table.pinned e.pt vpage then Clock_evictor.Pass
+  else if Page_table.accessed e.pt vpage then begin
+    harvest e vpage;
+    Page_table.clear_accessed e.pt vpage;
+    Clock_evictor.Spare
+  end
+  else Clock_evictor.Take
 
 let create ?(costs = Cost_model.paper) ?(log = Event.null_log) ?epc
     ?(owner = 0) ~epc_pages ~elrange_pages () =
@@ -65,27 +107,34 @@ let create ?(costs = Cost_model.paper) ?(log = Event.null_log) ?epc
     | Some e -> e
     | None -> Clock_evictor.create ~capacity:epc_pages
   in
-  {
-    costs;
-    pt = Page_table.create ~pages:elrange_pages;
-    epc;
-    owner;
-    channel = Load_channel.create ~pages:elrange_pages;
-    metrics = Metrics.create ();
-    bitmap = Bitset.create elrange_pages;
-    log;
-    next_scan = costs.Cost_model.clock_scan_period;
-    peers = None;
-    protected_vpage = -1;
-    on_evict = (fun ~aggressor:_ ~victim:_ ~vpage:_ -> ());
-    on_fault = (fun _ _ -> ());
-    on_preload_complete = (fun _ _ -> ());
-    on_preload_hit = (fun _ _ -> ());
-    on_scan = (fun _ _ -> ());
-    preload_gate = (fun ~now _ -> ignore now; true);
-    load_perturb = (fun ~at d -> ignore at; d);
-    epc_budget = (fun ~at c -> ignore at; c);
-  }
+  let pt = Page_table.create ~pages:elrange_pages in
+  let channel = Load_channel.create ~pages:elrange_pages in
+  let bitmap = Bitset.create elrange_pages in
+  let rec t =
+    {
+      costs;
+      pt;
+      epc;
+      owner;
+      channel;
+      metrics = Metrics.create ();
+      bitmap;
+      log;
+      next_scan = costs.Cost_model.clock_scan_period;
+      peers = None;
+      protected_vpage = -1;
+      on_evict = (fun ~aggressor:_ ~victim:_ ~vpage:_ -> ());
+      on_fault = (fun _ _ -> ());
+      on_preload_complete = (fun _ _ -> ());
+      on_preload_hit = (fun _ _ -> ());
+      on_scan = (fun _ _ -> ());
+      preload_gate = (fun ~now _ -> ignore now; true);
+      load_perturb = (fun ~at d -> ignore at; d);
+      epc_budget = None;
+      probe = (fun ~owner ~vpage -> sweep_probe t ~owner ~vpage);
+    }
+  in
+  t
 
 let set_on_fault t f = t.on_fault <- f
 
@@ -122,7 +171,7 @@ let add_on_scan t f =
 
 let set_preload_gate t f = t.preload_gate <- f
 let set_load_perturb t f = t.load_perturb <- f
-let set_epc_budget t f = t.epc_budget <- f
+let set_epc_budget t f = t.epc_budget <- Some f
 let set_on_evict t f = t.on_evict <- f
 let owner t = t.owner
 
@@ -134,31 +183,11 @@ let link_fleet peers =
       e.peers <- Some peers)
     peers
 
+(* Every [record] call site is guarded by [logging]: an event is built
+   only when the log keeps it, so a run with the null log (every matrix,
+   fleet and service run) allocates no events at all. *)
+let logging t = Event.recording t.log
 let record t e = Event.record t.log e
-
-(* Credit a preloaded page's first observed use to the scheme (the paper's
-   AccPreloadCounter).  Called wherever the driver inspects access bits:
-   the service scan, the CLOCK sweep, and eviction. *)
-let harvest t vpage =
-  if
-    Page_table.preloaded t.pt vpage
-    && (not (Page_table.counted t.pt vpage))
-    && Page_table.accessed t.pt vpage
-  then begin
-    Page_table.set_counted t.pt vpage;
-    t.metrics.preload_hits <- t.metrics.preload_hits + 1;
-    t.on_preload_hit t vpage
-  end
-
-(* Resolve a frame's owner tag to its enclave.  Outside a fleet only our
-   own tag can appear in the (private) pool. *)
-let enc_of t o =
-  if o = t.owner then t
-  else
-    match t.peers with
-    | Some peers when o >= 0 && o < Array.length peers -> peers.(o)
-    | Some _ | None ->
-      invalid_arg "Enclave: EPC frame owned by an unlinked tenant"
 
 (* Free one EPC frame via the CLOCK sweep.  The victim's state transition
    is applied at [at]; the EWB write-back time is charged to the load that
@@ -168,25 +197,18 @@ let enc_of t o =
    enclave (the aggressor) — exactly the cross-tenant interference the
    fleet's table reports via [on_evict]. *)
 let evict_one t ~at =
-  let pinned ~owner ~vpage = Page_table.pinned (enc_of t owner).pt vpage in
-  let accessed ~owner ~vpage = Page_table.accessed (enc_of t owner).pt vpage in
-  let clear ~owner ~vpage =
-    let e = enc_of t owner in
-    harvest e vpage;
-    Page_table.clear_accessed e.pt vpage
-  in
-  let vowner, victim =
-    Clock_evictor.choose_victim_owned t.epc ~pinned ~accessed ~clear
-  in
+  let slot = Clock_evictor.choose_victim t.epc t.probe in
+  let vowner = Clock_evictor.slot_owner t.epc slot in
+  let victim = Clock_evictor.slot_vpage t.epc slot in
   let ve = enc_of t vowner in
   if Page_table.preloaded ve.pt victim && not (Page_table.counted ve.pt victim)
   then
     ve.metrics.preload_evicted_unused <- ve.metrics.preload_evicted_unused + 1;
-  Clock_evictor.remove t.epc ~slot:(Page_table.slot ve.pt victim);
+  Clock_evictor.remove t.epc ~slot;
   Page_table.mark_evicted ve.pt victim;
   Bitset.clear ve.bitmap victim;
   ve.metrics.evictions <- ve.metrics.evictions + 1;
-  record ve (Event.Evict { at; vpage = victim });
+  if logging ve then record ve (Event.Evict { at; vpage = victim });
   t.on_evict ~aggressor:t.owner ~victim:vowner ~vpage:victim
 
 (* The CLOCK sweep passes pinned pages over, so they can never be
@@ -194,18 +216,21 @@ let evict_one t ~at =
    all.  Pins last for the tail of one access call, so at any instant at
    most one page is pinned per tenant (and in an interleaved fleet
    replay, at most one globally). *)
+let pinned_resident e =
+  e.protected_vpage >= 0 && Page_table.present e.pt e.protected_vpage
+
 let evictable t =
-  let pinned_resident e =
-    e.protected_vpage >= 0 && Page_table.present e.pt e.protected_vpage
-  in
   let pinned =
     match t.peers with
     | None -> if pinned_resident t then 1 else 0
     | Some peers ->
       (* Only tenants sharing this pool can pin frames in it. *)
-      Array.fold_left
-        (fun n e -> if e.epc == t.epc && pinned_resident e then n + 1 else n)
-        0 peers
+      let n = ref 0 in
+      for i = 0 to Array.length peers - 1 do
+        let e = peers.(i) in
+        if e.epc == t.epc && pinned_resident e then incr n
+      done;
+      !n
   in
   Clock_evictor.used t.epc > pinned
 
@@ -213,7 +238,9 @@ let evictable t =
    plan installed a co-tenant.  Never below one frame. *)
 let budget_at t ~at =
   let cap = Clock_evictor.capacity t.epc in
-  max 1 (min cap (t.epc_budget ~at cap))
+  match t.epc_budget with
+  | None -> cap
+  | Some f -> Int.max 1 (Int.min cap (f ~at cap))
 
 (* Evict until residency fits the (possibly co-tenant-shrunk) frame
    budget.  Like the scan's reclaim — and unlike the evictions a load
@@ -222,14 +249,18 @@ let budget_at t ~at =
    from every [sync]: a budget shrink used to go unreconciled until the
    next fault or scan, leaving resident > budget for whole access bursts. *)
 let reconcile_budget t ~at =
-  let budget = budget_at t ~at in
-  while Clock_evictor.used t.epc > budget && evictable t do
-    evict_one t ~at
-  done
+  match t.epc_budget with
+  | None -> ()
+  | Some _ ->
+    let budget = budget_at t ~at in
+    while Clock_evictor.used t.epc > budget && evictable t do
+      evict_one t ~at
+    done
 
-(* Begin a load on the (idle) channel at [at]; evicts first if the EPC —
-   or the co-tenant-shrunk budget — leaves no free frame for the incoming
-   page, extending the busy span by one write-back cost per eviction. *)
+(* Begin a load on the (idle) channel at [at] and return its completion
+   cycle; evicts first if the EPC — or the co-tenant-shrunk budget —
+   leaves no free frame for the incoming page, extending the busy span by
+   one write-back cost per eviction. *)
 let start_load t ~at ~vpage ~kind =
   let budget = budget_at t ~at in
   let evictions = ref 0 in
@@ -244,15 +275,22 @@ let start_load t ~at ~vpage ~kind =
     (!evictions * t.costs.Cost_model.t_evict) + t.costs.Cost_model.t_load
   in
   (* Clamped: a contended channel can only slow a load down. *)
-  let duration = max base (t.load_perturb ~at base) in
-  record t (Event.Load_start { at; vpage; kind });
+  let duration = Int.max base (t.load_perturb ~at base) in
+  if logging t then record t (Event.Load_start { at; vpage; kind });
   Load_channel.begin_load t.channel ~vpage ~kind ~now:at ~duration
 
-let complete_load t (l : Load_channel.inflight) =
-  record t (Event.Load_done { at = l.finishes; vpage = l.vpage; kind = l.kind });
-  if not (Page_table.present t.pt l.vpage) then begin
+(* Land the channel's finished load (the caller has checked that it is
+   done by now) and free the channel. *)
+let complete_load t =
+  let ch = t.channel in
+  let vpage = Load_channel.in_flight_vpage ch in
+  let kind = Load_channel.in_flight_kind ch in
+  let finishes = Load_channel.in_flight_finishes ch in
+  ignore (Load_channel.take_completed ch ~now:finishes);
+  if logging t then record t (Event.Load_done { at = finishes; vpage; kind });
+  if not (Page_table.present t.pt vpage) then begin
     let prov =
-      match l.kind with
+      match kind with
       | Demand | Preload_sip -> Page_table.Demand
       | Preload_dfp -> Page_table.Preloaded
     in
@@ -261,21 +299,21 @@ let complete_load t (l : Load_channel.inflight) =
        code for a private pool: the exclusive channel means nothing can
        fill the EPC between [start_load] and here. *)
     while Clock_evictor.is_full t.epc && evictable t do
-      evict_one t ~at:l.finishes
+      evict_one t ~at:finishes
     done;
-    let slot = Clock_evictor.insert ~owner:t.owner t.epc l.vpage in
-    Page_table.mark_loaded t.pt l.vpage ~prov ~slot;
-    Bitset.set t.bitmap l.vpage;
-    match l.kind with
+    let slot = Clock_evictor.insert t.epc ~owner:t.owner vpage in
+    Page_table.mark_loaded t.pt vpage ~prov ~slot;
+    Bitset.set t.bitmap vpage;
+    match kind with
     | Preload_dfp ->
       t.metrics.preloads_completed <- t.metrics.preloads_completed + 1;
-      t.on_preload_complete t l.vpage
+      t.on_preload_complete t vpage
     | Demand | Preload_sip -> ()
   end
 
 let run_scan t ~at =
   t.metrics.scans <- t.metrics.scans + 1;
-  record t (Event.Scan { at });
+  if logging t then record t (Event.Scan { at });
   (* The harvest-and-clear sweep only does work on frames whose access
      bit is set (harvesting or clearing a clear bit is a no-op), so the
      scan drains the page table's touched list instead of walking every
@@ -304,23 +342,20 @@ let run_scan t ~at =
    runs on every [sync], i.e. on every simulated access, so it must not
    box. *)
 let rec pump t ~now ~preload_bound =
+  let ch = t.channel in
+  let busy = Load_channel.in_flight_vpage ch >= 0 in
   let completion_at =
-    match Load_channel.in_flight t.channel with
-    | Some l when l.finishes <= now -> l.finishes
-    | Some _ | None -> max_int
+    if busy && Load_channel.in_flight_finishes ch <= now then
+      Load_channel.in_flight_finishes ch
+    else max_int
   in
   let scan_at = if t.next_scan <= now then t.next_scan else max_int in
-  let start_vpage =
-    match Load_channel.in_flight t.channel with
-    | None -> Load_channel.next_queued_vpage t.channel
-    | Some _ -> -1
-  in
+  let start_vpage = if busy then -1 else Load_channel.next_queued_vpage ch in
   let start_at =
     if start_vpage < 0 then max_int
     else begin
       let st =
-        max (Load_channel.free_at t.channel)
-          (Load_channel.next_queued_at t.channel)
+        Int.max (Load_channel.free_at ch) (Load_channel.next_queued_at ch)
       in
       if st <= now && st < preload_bound then st else max_int
     end
@@ -328,9 +363,7 @@ let rec pump t ~now ~preload_bound =
   if completion_at <= scan_at && completion_at <= start_at
      && completion_at < max_int
   then begin
-    (match Load_channel.take_completed t.channel ~now:completion_at with
-    | Some l -> complete_load t l
-    | None -> assert false);
+    complete_load t;
     pump t ~now ~preload_bound
   end
   else if scan_at <= start_at && scan_at < max_int then begin
@@ -338,7 +371,7 @@ let rec pump t ~now ~preload_bound =
     pump t ~now ~preload_bound
   end
   else if start_at < max_int then begin
-    ignore (Load_channel.pop_queued t.channel);
+    ignore (Load_channel.pop_queued ch);
     (* The page may have been demand-loaded while it waited in the queue;
        the kernel thread re-checks presence cheaply and skips it.  An EPC
        full of nothing but pinned pages has no victim, so the preload is
@@ -368,48 +401,52 @@ let finish_access t ~now vpage =
    ERESUME. *)
 let fault_path t ~now ~thread vpage =
   let c = t.costs in
-  record t (Event.Fault { at = now; vpage });
+  let ch = t.channel in
+  if logging t then record t (Event.Fault { at = now; vpage });
   let t_handler_start = now + c.Cost_model.t_aex in
   t.metrics.cyc_aex <- t.metrics.cyc_aex + c.Cost_model.t_aex;
   (* The channel keeps working during the AEX transition, but the fault
      freezes the speculative queue: the handler owns the channel next. *)
   pump t ~now:t_handler_start ~preload_bound:now;
-  record t (Event.Aex_done { at = t_handler_start; vpage });
-  let handled_at, resolution =
-    if Page_table.present t.pt vpage then begin
+  if logging t then record t (Event.Aex_done { at = t_handler_start; vpage });
+  let resolution =
+    if Page_table.present t.pt vpage then Already_present
+    else if Load_channel.in_flight_vpage ch = vpage then Waited_in_flight
+    else Demand_load
+  in
+  let handled_at =
+    match resolution with
+    | Already_present ->
       (* A preload for this very page finished during the AEX window: the
          handler just fixes the PTE and returns. *)
       t.metrics.faults_already_present <- t.metrics.faults_already_present + 1;
       t.metrics.cyc_os_handler <-
         t.metrics.cyc_os_handler + c.Cost_model.t_fault_native;
-      (t_handler_start + c.Cost_model.t_fault_native, Already_present)
-    end
-    else
-      match Load_channel.in_flight t.channel with
-      | Some l when l.vpage = vpage ->
-        (* The faulted page is mid-preload; the load is non-preemptible,
-           so the handler waits out the remainder. *)
-        t.metrics.faults_in_flight <- t.metrics.faults_in_flight + 1;
-        let wait = max 0 (l.finishes - t_handler_start) in
-        t.metrics.cyc_load_wait <- t.metrics.cyc_load_wait + wait;
-        pump t ~now:l.finishes ~preload_bound:now;
-        (l.finishes, Waited_in_flight)
-      | Some _ | None ->
-        t.metrics.faults <- t.metrics.faults + 1;
-        (* Drain whatever other load occupies the channel... *)
-        let free_at = Load_channel.busy_until t.channel ~now:t_handler_start in
-        t.metrics.cyc_load_wait <-
-          t.metrics.cyc_load_wait + (free_at - t_handler_start);
-        pump t ~now:free_at ~preload_bound:now;
-        (* ...take over any queued preload of the same page... *)
-        if Load_channel.remove_queued t.channel vpage then
-          t.metrics.preloads_taken_over <- t.metrics.preloads_taken_over + 1;
-        (* ...and perform the demand load. *)
-        let l = start_load t ~at:free_at ~vpage ~kind:Load_channel.Demand in
-        t.metrics.cyc_load_wait <-
-          t.metrics.cyc_load_wait + (l.finishes - free_at);
-        pump t ~now:l.finishes ~preload_bound:now;
-        (l.finishes, Demand_load)
+      t_handler_start + c.Cost_model.t_fault_native
+    | Waited_in_flight ->
+      (* The faulted page is mid-preload; the load is non-preemptible, so
+         the handler waits out the remainder. *)
+      t.metrics.faults_in_flight <- t.metrics.faults_in_flight + 1;
+      let finishes = Load_channel.in_flight_finishes ch in
+      let wait = Int.max 0 (finishes - t_handler_start) in
+      t.metrics.cyc_load_wait <- t.metrics.cyc_load_wait + wait;
+      pump t ~now:finishes ~preload_bound:now;
+      finishes
+    | Demand_load ->
+      t.metrics.faults <- t.metrics.faults + 1;
+      (* Drain whatever other load occupies the channel... *)
+      let free_at = Load_channel.busy_until ch ~now:t_handler_start in
+      t.metrics.cyc_load_wait <-
+        t.metrics.cyc_load_wait + (free_at - t_handler_start);
+      pump t ~now:free_at ~preload_bound:now;
+      (* ...take over any queued preload of the same page... *)
+      if Load_channel.remove_queued ch vpage then
+        t.metrics.preloads_taken_over <- t.metrics.preloads_taken_over + 1;
+      (* ...and perform the demand load. *)
+      let finishes = start_load t ~at:free_at ~vpage ~kind:Load_channel.Demand in
+      t.metrics.cyc_load_wait <- t.metrics.cyc_load_wait + (finishes - free_at);
+      pump t ~now:finishes ~preload_bound:now;
+      finishes
   in
   t.protected_vpage <- vpage;
   (* Mirror the pin into the page-table word so a co-tenant's sweep —
@@ -422,7 +459,7 @@ let fault_path t ~now ~thread vpage =
       resolution };
   t.metrics.cyc_eresume <- t.metrics.cyc_eresume + c.Cost_model.t_eresume;
   let resumed = handled_at + c.Cost_model.t_eresume in
-  record t (Event.Eresume { at = resumed; vpage });
+  if logging t then record t (Event.Eresume { at = resumed; vpage });
   let finished = finish_access t ~now:resumed vpage in
   Page_table.unpin t.pt vpage;
   t.protected_vpage <- -1;
@@ -447,7 +484,7 @@ let sip_access ?(thread = 0) t ~now vpage =
     t.metrics.cyc_bitmap_check + c.Cost_model.t_bitmap_check;
   let t_checked = now + c.Cost_model.t_bitmap_check in
   let present = Bitset.mem t.bitmap vpage in
-  record t (Event.Sip_check { at = t_checked; vpage; present });
+  if logging t then record t (Event.Sip_check { at = t_checked; vpage; present });
   if present then finish_access t ~now:t_checked vpage
   else begin
     t.metrics.sip_notifies <- t.metrics.sip_notifies + 1;
@@ -458,32 +495,33 @@ let sip_access ?(thread = 0) t ~now vpage =
        start acting on the channel.  Stamping it at [t_checked] (the old
        behaviour) let the log interleave against the loads the kernel
        thread starts only after pickup. *)
-    record t (Event.Sip_notify { at = t_notified; vpage });
+    if logging t then record t (Event.Sip_notify { at = t_notified; vpage });
     (* The kernel thread owns the channel next; freeze speculation. *)
     pump t ~now:t_notified ~preload_bound:t_checked;
     let loaded_at =
       if Page_table.present t.pt vpage then
         (* Completed in the notification window. *)
         t_notified
-      else
-        match Load_channel.in_flight t.channel with
-        | Some l when l.vpage = vpage ->
-          let wait = max 0 (l.finishes - t_notified) in
-          t.metrics.cyc_sip_wait <- t.metrics.cyc_sip_wait + wait;
-          pump t ~now:l.finishes ~preload_bound:t_checked;
-          l.finishes
-        | Some _ | None ->
-          let free_at = Load_channel.busy_until t.channel ~now:t_notified in
-          t.metrics.cyc_sip_wait <-
-            t.metrics.cyc_sip_wait + (free_at - t_notified);
-          pump t ~now:free_at ~preload_bound:t_checked;
-          if Load_channel.remove_queued t.channel vpage then
-            t.metrics.preloads_taken_over <- t.metrics.preloads_taken_over + 1;
-          let l = start_load t ~at:free_at ~vpage ~kind:Load_channel.Preload_sip in
-          t.metrics.cyc_sip_wait <-
-            t.metrics.cyc_sip_wait + (l.finishes - free_at);
-          pump t ~now:l.finishes ~preload_bound:t_checked;
-          l.finishes
+      else if Load_channel.in_flight_vpage t.channel = vpage then begin
+        let finishes = Load_channel.in_flight_finishes t.channel in
+        let wait = Int.max 0 (finishes - t_notified) in
+        t.metrics.cyc_sip_wait <- t.metrics.cyc_sip_wait + wait;
+        pump t ~now:finishes ~preload_bound:t_checked;
+        finishes
+      end
+      else begin
+        let free_at = Load_channel.busy_until t.channel ~now:t_notified in
+        t.metrics.cyc_sip_wait <- t.metrics.cyc_sip_wait + (free_at - t_notified);
+        pump t ~now:free_at ~preload_bound:t_checked;
+        if Load_channel.remove_queued t.channel vpage then
+          t.metrics.preloads_taken_over <- t.metrics.preloads_taken_over + 1;
+        let finishes =
+          start_load t ~at:free_at ~vpage ~kind:Load_channel.Preload_sip
+        in
+        t.metrics.cyc_sip_wait <- t.metrics.cyc_sip_wait + (finishes - free_at);
+        pump t ~now:finishes ~preload_bound:t_checked;
+        finishes
+      end
     in
     finish_access t ~now:loaded_at vpage
   end
@@ -510,14 +548,9 @@ let request_preload t ~now vpage =
       t.metrics.preloads_rejected_breaker + 1;
     false
   end
-  else
-  let in_flight_same =
-    match Load_channel.in_flight t.channel with
-    | Some l -> l.vpage = vpage
-    | None -> false
-  in
-  if
-    Page_table.present t.pt vpage || in_flight_same
+  else if
+    Page_table.present t.pt vpage
+    || Load_channel.in_flight_vpage t.channel = vpage
     || Load_channel.queued_mem t.channel vpage
   then begin
     t.metrics.preloads_rejected_dup <- t.metrics.preloads_rejected_dup + 1;
@@ -526,7 +559,7 @@ let request_preload t ~now vpage =
   else begin
     Load_channel.queue_preload t.channel ~vpage ~at:now;
     t.metrics.preloads_issued <- t.metrics.preloads_issued + 1;
-    record t (Event.Preload_queued { at = now; vpage });
+    if logging t then record t (Event.Preload_queued { at = now; vpage });
     true
   end
 
@@ -535,7 +568,7 @@ let abort_pending_preloads t ~now =
   let n = Load_channel.abort_queued t.channel in
   if n > 0 then begin
     t.metrics.preloads_aborted <- t.metrics.preloads_aborted + n;
-    record t (Event.Preload_aborted { at = now; count = n })
+    if logging t then record t (Event.Preload_aborted { at = now; count = n })
   end;
   n
 
@@ -544,7 +577,7 @@ let abort_pending_preloads_where t ~now pred =
   let n = Load_channel.abort_queued_where t.channel pred in
   if n > 0 then begin
     t.metrics.preloads_aborted <- t.metrics.preloads_aborted + n;
-    record t (Event.Preload_aborted { at = now; count = n })
+    if logging t then record t (Event.Preload_aborted { at = now; count = n })
   end;
   n
 
@@ -553,7 +586,7 @@ let abort_pending_preloads_pages t ~now pages =
   let n = Load_channel.abort_queued_pages t.channel pages in
   if n > 0 then begin
     t.metrics.preloads_aborted <- t.metrics.preloads_aborted + n;
-    record t (Event.Preload_aborted { at = now; count = n })
+    if logging t then record t (Event.Preload_aborted { at = now; count = n })
   end;
   n
 
@@ -571,14 +604,18 @@ let crash t ~now =
      preload-disposition identity survives the crash. *)
   let queued = Load_channel.abort_queued t.channel in
   let cancelled =
-    match Load_channel.cancel_in_flight t.channel ~now with
-    | Some l when l.kind = Load_channel.Preload_dfp -> 1
-    | Some _ | None -> 0
+    if Load_channel.in_flight_vpage t.channel < 0 then 0
+    else
+      match Load_channel.in_flight_kind t.channel with
+      | Preload_dfp -> 1
+      | Demand | Preload_sip -> 0
   in
+  Load_channel.cancel_in_flight t.channel ~now;
   let aborted = queued + cancelled in
   if aborted > 0 then begin
     t.metrics.preloads_aborted <- t.metrics.preloads_aborted + aborted;
-    record t (Event.Preload_aborted { at = now; count = aborted })
+    if logging t then
+      record t (Event.Preload_aborted { at = now; count = aborted })
   end;
   let lost = ref [] in
   Clock_evictor.scan_owned t.epc (fun ~owner ~vpage ->
@@ -599,7 +636,7 @@ let crash t ~now =
   t.metrics.crashes <- t.metrics.crashes + 1;
   t.metrics.crash_pages_lost <- t.metrics.crash_pages_lost + n;
   t.protected_vpage <- -1;
-  record t (Event.Crash { at = now; pages_lost = n });
+  if logging t then record t (Event.Crash { at = now; pages_lost = n });
   lost
 
 let costs t = t.costs
@@ -613,6 +650,8 @@ let bitmap_present t vpage = Bitset.mem t.bitmap vpage
 let pending_preloads t = Load_channel.queued t.channel
 let pending_preload_count t = Load_channel.queue_length t.channel
 let preload_queued t vpage = Load_channel.queued_mem t.channel vpage
-let in_flight t = Load_channel.in_flight t.channel
+let in_flight_kind t =
+  if Load_channel.in_flight_vpage t.channel < 0 then None
+  else Some (Load_channel.in_flight_kind t.channel)
 let events t = Event.events t.log
 let set_log t log = t.log <- log

@@ -18,7 +18,14 @@
     application-side operation takes the current time and returns the
     advanced time; background work (in-flight loads, queued preloads, the
     periodic scan) is replayed lazily and in timestamp order whenever the
-    simulation reaches a new point in time. *)
+    simulation reaches a new point in time.
+
+    The per-access path allocates almost nothing: an access to a
+    resident page allocates no words, and a fault with the null log
+    allocates the {!fault_ctx} passed to [on_fault] (plus one closure per
+    periodic scan).  Events are built only when the log records them
+    (see {!Event.recording}), integer comparisons are monomorphic, and
+    the CLOCK probe is one closure made at {!create}. *)
 
 type fault_resolution =
   | Already_present
@@ -122,7 +129,9 @@ val set_epc_budget : t -> (at:int -> int -> int) -> unit
     write-back each); every {!sync} and periodic scan squeezes residency
     to the budget for free (the co-tenant's own channel pays those
     write-backs), so a shrink is reconciled at the next simulated
-    instant, not at the next fault.  Defaults to the full capacity. *)
+    instant, not at the next fault.  Without this hook the budget is the
+    full capacity, which residency never exceeds, and that
+    reconciliation is skipped. *)
 
 val set_on_evict : t -> (aggressor:int -> victim:int -> vpage:int -> unit) -> unit
 (** Observe every eviction this enclave's sweeps perform, with the owner
@@ -210,6 +219,8 @@ val pending_preload_count : t -> int
 val preload_queued : t -> int -> bool
 (** Whether a page is waiting in the preload queue; O(1). *)
 
-val in_flight : t -> Load_channel.inflight option
+val in_flight_kind : t -> Load_channel.kind option
+(** Kind of the load occupying the channel, [None] when it is idle. *)
+
 val events : t -> Event.t list
 val set_log : t -> Event.log -> unit

@@ -74,6 +74,8 @@ type log = Null | Ring of { ring : t Repro_util.Ring.t; mutable recorded : int }
 
 let make_log ~capacity = Ring { ring = Repro_util.Ring.create capacity; recorded = 0 }
 
+let recording = function Null -> false | Ring _ -> true
+
 let record log event =
   match log with
   | Null -> ()

@@ -34,7 +34,15 @@ type log
 (** Bounded recorder. *)
 
 val make_log : capacity:int -> log
+
+val recording : log -> bool
+(** Whether {!record} keeps what it is given.  Hot paths test this
+    first and build an event only when it is [true], so a run with the
+    null log allocates no events at all. *)
+
 val record : log -> t -> unit
+(** Append to the ring; a no-op on the null log. *)
+
 val events : log -> t list
 (** Chronological (oldest first), up to the ring capacity. *)
 

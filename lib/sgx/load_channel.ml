@@ -3,8 +3,6 @@ module Deque = Repro_util.Deque
 
 type kind = Demand | Preload_dfp | Preload_sip
 
-type inflight = { vpage : int; kind : kind; started : int; finishes : int }
-
 (* One pending-FIFO slot.  [seq] makes lazy deletion sound: a removal only
    clears the per-page live sequence number, leaving the slot in place; a
    slot whose [seq] no longer matches [live_seq.(vpage)] is stale and is
@@ -18,7 +16,12 @@ let stale_slot = { e_vpage = -1; e_at = 0; e_seq = -1 }
 type seqs = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  mutable current : inflight option;
+  (* The load occupying the channel, as plain fields rather than a record
+     per load: [cur_vpage] is -1 when the channel is idle, and the other
+     two are then stale. *)
+  mutable cur_vpage : int;
+  mutable cur_kind : kind;
+  mutable cur_finishes : int;
   q : entry Deque.t;
   live_seq : seqs;
       (* per vpage: seq of its live slot, -1 if none.  Off-heap so an
@@ -35,7 +38,9 @@ let create ~pages =
   let live_seq = Bigarray.Array1.create Bigarray.int Bigarray.c_layout pages in
   Bigarray.Array1.fill live_seq (-1);
   {
-    current = None;
+    cur_vpage = -1;
+    cur_kind = Demand;
+    cur_finishes = 0;
     q = Deque.create ~dummy:stale_slot ();
     live_seq;
     queued = Bitset.create pages;
@@ -44,59 +49,57 @@ let create ~pages =
     free_at = 0;
   }
 
-let in_flight t = t.current
+let in_flight_vpage t = t.cur_vpage
+let in_flight_kind t = t.cur_kind
+let in_flight_finishes t = t.cur_finishes
 
-let is_busy t ~now = match t.current with None -> false | Some l -> l.finishes > now
+let is_busy t ~now = t.cur_vpage >= 0 && t.cur_finishes > now
 
 let busy_until t ~now =
-  match t.current with None -> now | Some l -> max now l.finishes
+  if t.cur_vpage < 0 then now else Int.max now t.cur_finishes
 
 let free_at t = t.free_at
 
 let begin_load t ~vpage ~kind ~now ~duration =
   if is_busy t ~now then invalid_arg "Load_channel.begin_load: channel busy";
-  (match t.current with
-  | Some stale ->
+  if t.cur_vpage >= 0 then
     invalid_arg
       (Printf.sprintf
          "Load_channel.begin_load: completed load of page %d not collected"
-         stale.vpage)
-  | None -> ());
-  let load = { vpage; kind; started = now; finishes = now + duration } in
-  t.current <- Some load;
-  t.free_at <- load.finishes;
-  load
+         t.cur_vpage);
+  if vpage < 0 then invalid_arg "Load_channel.begin_load: negative page";
+  t.cur_vpage <- vpage;
+  t.cur_kind <- kind;
+  t.cur_finishes <- now + duration;
+  t.free_at <- t.cur_finishes;
+  t.cur_finishes
 
 let take_completed t ~now =
-  match t.current with
-  | Some l when l.finishes <= now ->
-    t.current <- None;
-    Some l
-  | Some _ | None -> None
+  if t.cur_vpage >= 0 && t.cur_finishes <= now then begin
+    t.cur_vpage <- -1;
+    true
+  end
+  else false
 
 (* Crash path only: hardware cannot preempt an ELDU, but a dead enclave
    has no channel — the load that was in progress simply never lands.
    The channel frees immediately so the restarted instance can load. *)
 let cancel_in_flight t ~now =
-  match t.current with
-  | None ->
-    t.free_at <- max t.free_at now;
-    None
-  | Some l ->
-    t.current <- None;
-    t.free_at <- now;
-    Some l
+  if t.cur_vpage < 0 then t.free_at <- Int.max t.free_at now
+  else begin
+    t.cur_vpage <- -1;
+    t.free_at <- now
+  end
 
 let is_live t (e : entry) = Bigarray.Array1.get t.live_seq e.e_vpage = e.e_seq
 
 (* Discard stale (lazily-deleted) slots at the head.  Each slot is dropped
    at most once, so the scan is O(1) amortized over the queue's life. *)
 let rec drop_stale t =
-  match Deque.peek_front t.q with
-  | Some e when not (is_live t e) ->
+  if (not (Deque.is_empty t.q)) && not (is_live t (Deque.front t.q)) then begin
     ignore (Deque.pop_front t.q);
     drop_stale t
-  | Some _ | None -> ()
+  end
 
 let queued_mem t vpage =
   vpage >= 0 && vpage < Bigarray.Array1.dim t.live_seq && Bitset.mem t.queued vpage
@@ -114,12 +117,6 @@ let queue_preload t ~vpage ~at =
   Bigarray.Array1.set t.live_seq vpage seq;
   Bitset.set t.queued vpage;
   t.live <- t.live + 1
-
-let next_queued t =
-  drop_stale t;
-  match Deque.peek_front t.q with
-  | Some e -> Some (e.e_vpage, e.e_at)
-  | None -> None
 
 (* Allocation-free head peeks for the background-event scheduler, which
    probes the FIFO on every pump step.  [stale_slot]'s vpage is -1, so an
@@ -158,11 +155,9 @@ let unlink t vpage =
 
 let pop_queued t =
   drop_stale t;
-  match Deque.pop_front t.q with
-  | Some e ->
-    unlink t e.e_vpage;
-    Some (e.e_vpage, e.e_at)
-  | None -> None
+  let e = Deque.pop_front t.q in
+  if e.e_vpage >= 0 then unlink t e.e_vpage;
+  e.e_vpage
 
 let queued t =
   List.rev
@@ -188,10 +183,12 @@ let remove_queued t vpage =
   end
   else false
 
-let abort_queued_pages t pages =
-  List.fold_left
-    (fun n vpage -> if remove_queued t vpage then n + 1 else n)
-    0 pages
+let rec abort_pages t n = function
+  | [] -> n
+  | vpage :: rest ->
+    abort_pages t (if remove_queued t vpage then n + 1 else n) rest
+
+let abort_queued_pages t pages = abort_pages t 0 pages
 
 let abort_queued_where t pred =
   let n = ref 0 in
@@ -280,7 +277,7 @@ module Arbiter = struct
     if d < 0 then invalid_arg "Load_channel.Arbiter.request: negative duration";
     if owner < 0 || owner >= Array.length t.busy then
       invalid_arg "Load_channel.Arbiter.request: owner out of range";
-    let wait0 = max 0 (t.free_at - at) in
+    let wait0 = Int.max 0 (t.free_at - at) in
     let extra =
       if wait0 = 0 then 0
       else
@@ -292,7 +289,7 @@ module Arbiter = struct
           if total = 0 then 0
           else
             let n = Array.length t.busy in
-            max 0 ((t.busy.(owner) * n) - total) * wait0 / total
+            Int.max 0 ((t.busy.(owner) * n) - total) * wait0 / total
     in
     let wait = wait0 + extra in
     if wait > 0 then t.contentions <- t.contentions + 1;

@@ -20,14 +20,17 @@
     queue depth.  Stale slots that never reach the head are reclaimed by
     compaction: once they outnumber both a small floor and the live
     entries, the deque is rebuilt from the live slots (relative order
-    kept), bounding the physical queue at O(live) between rebuilds. *)
+    kept), bounding the physical queue at O(live) between rebuilds.
+
+    Nothing on the per-access path allocates: the in-flight load is held
+    as plain int fields of the channel (read through {!in_flight_vpage},
+    {!in_flight_kind} and {!in_flight_finishes}), and the FIFO head is
+    peeked and popped as bare ints, with [-1] standing for "none". *)
 
 type kind =
   | Demand  (** Load servicing an actual fault. *)
   | Preload_dfp  (** Speculative load issued by the DFP kernel thread. *)
   | Preload_sip  (** Load requested through the SIP notification. *)
-
-type inflight = { vpage : int; kind : kind; started : int; finishes : int }
 
 type t
 
@@ -35,7 +38,17 @@ val create : pages:int -> t
 (** A channel serving an ELRANGE of [pages] virtual pages (the membership
     index is per-page).  @raise Invalid_argument if [pages <= 0]. *)
 
-val in_flight : t -> inflight option
+val in_flight_vpage : t -> int
+(** Page of the load occupying the channel — started and not yet
+    collected by {!take_completed} — or [-1] when there is none. *)
+
+val in_flight_kind : t -> kind
+(** Kind of that load.  Meaningful only while {!in_flight_vpage} is
+    [>= 0]. *)
+
+val in_flight_finishes : t -> int
+(** Completion cycle of that load.  Meaningful only while
+    {!in_flight_vpage} is [>= 0]. *)
 
 val is_busy : t -> now:int -> bool
 (** Whether a load is still in progress at [now]. *)
@@ -47,17 +60,22 @@ val free_at : t -> int
 (** Completion time of the last load ever started (0 initially); the
     earliest time a new load may begin when the channel is idle. *)
 
-val begin_load : t -> vpage:int -> kind:kind -> now:int -> duration:int -> inflight
-(** Occupy the channel.  @raise Invalid_argument if busy at [now]. *)
+val begin_load : t -> vpage:int -> kind:kind -> now:int -> duration:int -> int
+(** Occupy the channel with a load of [vpage] from [now] to
+    [now + duration]; returns that completion cycle.
+    @raise Invalid_argument if busy at [now], if a finished load was
+    never collected, or if [vpage < 0]. *)
 
-val take_completed : t -> now:int -> inflight option
-(** If the in-flight load has finished by [now], clear it and return it. *)
+val take_completed : t -> now:int -> bool
+(** If the in-flight load has finished by [now], clear it and return
+    [true]; otherwise change nothing and return [false].  Read the load's
+    fields before collecting it. *)
 
-val cancel_in_flight : t -> now:int -> inflight option
+val cancel_in_flight : t -> now:int -> unit
 (** Crash path: drop the in-flight load (if any) without completing it
     and free the channel at [now].  The one exception to the
     can't-preempt-ELDU rule — a crashed enclave's load never lands.
-    Returns the load that was abandoned. *)
+    Read the abandoned load's fields first. *)
 
 val queue_preload : t -> vpage:int -> at:int -> unit
 (** Append a page to the pending-preload FIFO, stamped with its enqueue
@@ -66,19 +84,17 @@ val queue_preload : t -> vpage:int -> at:int -> unit
     {!queued_mem} first — a duplicate would corrupt the membership index)
     or outside [\[0, pages)]. *)
 
-val next_queued : t -> (int * int) option
-(** Head of the pending FIFO as [(vpage, queued_at)], not removed. *)
-
 val next_queued_vpage : t -> int
-(** Head page of the pending FIFO without the option/tuple boxes ([-1]
-    when empty) — the allocation-free {!next_queued} for the per-access
-    scheduler probe. *)
+(** Head page of the pending FIFO, not removed; [-1] when empty.
+    Allocation-free: the background scheduler probes it on every step. *)
 
 val next_queued_at : t -> int
 (** Enqueue time of the pending FIFO's head; only meaningful when
-    {!next_queued_vpage} is [>= 0]. *)
+    {!next_queued_vpage} is [>= 0].  Allocation-free. *)
 
-val pop_queued : t -> (int * int) option
+val pop_queued : t -> int
+(** Remove the head of the pending FIFO and return its page; [-1] when
+    empty.  Read {!next_queued_at} first if the enqueue time matters. *)
 
 val queued : t -> int list
 (** Pending vpages, next-to-load first. *)

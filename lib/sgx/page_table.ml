@@ -53,15 +53,16 @@ let create ~pages =
 
 let pages t = Bigarray.Array1.dim t.words
 
-let check t vpage =
-  if vpage < 0 || vpage >= Bigarray.Array1.dim t.words then
-    invalid_arg
-      (Printf.sprintf "Page_table: page %d outside ELRANGE [0,%d)" vpage
-         (Bigarray.Array1.dim t.words))
+(* The raise lives out of line so that [word] — a compare and a load —
+   stays small enough to inline into every accessor below. *)
+let[@inline never] out_of_range t vpage =
+  invalid_arg
+    (Printf.sprintf "Page_table: page %d outside ELRANGE [0,%d)" vpage
+       (Bigarray.Array1.dim t.words))
 
 let word t vpage =
-  check t vpage;
-  Bigarray.Array1.unsafe_get t.words vpage
+  if vpage < 0 || vpage >= Bigarray.Array1.dim t.words then out_of_range t vpage
+  else Bigarray.Array1.unsafe_get t.words vpage
 
 let set_word t vpage w = Bigarray.Array1.unsafe_set t.words vpage w
 

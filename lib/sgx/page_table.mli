@@ -69,7 +69,7 @@ val clear_accessed : t -> int -> unit
 
 val pinned : t -> int -> bool
 (** Whether the page is pinned: mid-return to a faulting thread, so the
-    CLOCK sweep must pass it over (see {!Clock_evictor.choose_victim_owned}).
+    CLOCK sweep must pass it over (see {!Clock_evictor.choose_victim}).
     The bit lives in the same packed word as presence and the slot. *)
 
 val pin : t -> int -> unit

@@ -360,15 +360,10 @@ let finalize ~(spec : Spec.t) ~(trace : Trace.t) inst =
              run end is as much an unfinished preload as a DFP one.
              Demand loads stay excluded — they resolve a fault, not a
              prediction. *)
-          (match Enclave.in_flight inst.enclave with
-          | Some { kind = Sgxsim.Load_channel.(Preload_dfp | Preload_sip); _ }
-            ->
-            1
-          | Some { kind = Sgxsim.Load_channel.Demand; _ } | None -> 0);
-        in_flight_kind =
-          Option.map
-            (fun (l : Sgxsim.Load_channel.inflight) -> l.kind)
-            (Enclave.in_flight inst.enclave);
+          (match Enclave.in_flight_kind inst.enclave with
+          | Some Sgxsim.Load_channel.(Preload_dfp | Preload_sip) -> 1
+          | Some Sgxsim.Load_channel.Demand | None -> 0);
+        in_flight_kind = Enclave.in_flight_kind inst.enclave;
         resident_at_end = Enclave.resident_count inst.enclave;
         restarts = inst.restarts;
         breaker_state = Option.map Breaker.state inst.i_breaker;

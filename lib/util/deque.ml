@@ -1,3 +1,5 @@
+(* Capacity is kept a power of two, so a ring index is a mask rather
+   than a division. *)
 type 'a t = {
   dummy : 'a;
   mutable buf : 'a array;
@@ -6,40 +8,40 @@ type 'a t = {
 }
 
 let create ?(capacity = 8) ~dummy () =
-  let capacity = max 1 capacity in
-  { dummy; buf = Array.make capacity dummy; head = 0; len = 0 }
+  let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
+  { dummy; buf = Array.make (pow2 1) dummy; head = 0; len = 0 }
 
 let length t = t.len
 
 let is_empty t = t.len = 0
 
+let mask t = Array.length t.buf - 1
+
 let grow t =
   let cap = Array.length t.buf in
   let buf = Array.make (2 * cap) t.dummy in
   for i = 0 to t.len - 1 do
-    buf.(i) <- t.buf.((t.head + i) mod cap)
+    buf.(i) <- t.buf.((t.head + i) land (cap - 1))
   done;
   t.buf <- buf;
   t.head <- 0
 
 let push_back t x =
   if t.len = Array.length t.buf then grow t;
-  t.buf.((t.head + t.len) mod Array.length t.buf) <- x;
+  t.buf.((t.head + t.len) land mask t) <- x;
   t.len <- t.len + 1
-
-let peek_front t = if t.len = 0 then None else Some t.buf.(t.head)
 
 let front t = if t.len = 0 then t.dummy else t.buf.(t.head)
 
 let pop_front t =
-  if t.len = 0 then None
+  if t.len = 0 then t.dummy
   else begin
     let x = t.buf.(t.head) in
     (* Release the slot so popped elements are not retained. *)
     t.buf.(t.head) <- t.dummy;
-    t.head <- (t.head + 1) mod Array.length t.buf;
+    t.head <- (t.head + 1) land mask t;
     t.len <- t.len - 1;
-    Some x
+    x
   end
 
 let clear t =
@@ -48,9 +50,9 @@ let clear t =
   t.len <- 0
 
 let iter f t =
-  let cap = Array.length t.buf in
+  let m = mask t in
   for i = 0 to t.len - 1 do
-    f t.buf.((t.head + i) mod cap)
+    f t.buf.((t.head + i) land m)
   done
 
 let fold f acc t =

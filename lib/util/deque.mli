@@ -6,13 +6,15 @@
     so removals never shift elements).
 
     [dummy] is a throwaway element used to fill unused slots (a plain
-    ['a array] backs the deque); it is never returned. *)
+    ['a array] backs the deque).  The head accessors return it for an
+    empty deque instead of boxing their result in an option, so callers
+    either check {!is_empty} first or use a recognizable dummy. *)
 
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** Fresh empty deque.  [capacity] (default 8) is the initial allocation;
-    the buffer doubles as needed. *)
+(** Fresh empty deque.  [capacity] (default 8) is the initial allocation,
+    rounded up to a power of two; the buffer doubles as needed. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -20,13 +22,12 @@ val is_empty : 'a t -> bool
 val push_back : 'a t -> 'a -> unit
 (** Append at the tail; amortized O(1). *)
 
-val peek_front : 'a t -> 'a option
-val pop_front : 'a t -> 'a option
-
 val front : 'a t -> 'a
-(** Head element without the option box — the allocation-free
-    {!peek_front} for hot paths.  Returns [dummy] when empty, so callers
-    must check {!is_empty} first or use a recognizable dummy. *)
+(** Head element, not removed; [dummy] when empty.  Allocation-free. *)
+
+val pop_front : 'a t -> 'a
+(** Remove and return the head element; [dummy] (and no change) when
+    empty.  Allocation-free. *)
 
 val clear : 'a t -> unit
 (** Drop every element (slots are reset to [dummy]). *)

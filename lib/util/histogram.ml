@@ -59,7 +59,7 @@ let add t x =
       if x >= t.hi then t.overflow <- t.overflow + 1
       else begin
         let i = int_of_float ((x -. t.lo) /. t.width) in
-        let i = min i (Array.length t.counts - 1) in
+        let i = Int.min i (Array.length t.counts - 1) in
         t.counts.(i) <- t.counts.(i) + 1
       end
     end

@@ -187,6 +187,135 @@ let predictor_qcheck =
           faults);
   ]
 
+(* The naive reference for the differential test below: Algorithm 1 as
+   a plain MRU-first list of records, with none of the predictor's
+   layout tricks (no order array, no pending bounds, no single pass). *)
+module Naive_predictor = struct
+  type entry = { mutable stpn : int; mutable dir : int; mutable pending : int list }
+
+  type reaction =
+    | Extend of entry * int list
+    | Restart_within of entry * int list
+    | New_stream of entry * entry option
+
+  type t = {
+    mutable entries : entry list; (* MRU first *)
+    capacity : int;
+    load_length : int;
+    detect_backward : bool;
+  }
+
+  let create ~capacity ~load_length ~detect_backward =
+    { entries = []; capacity; load_length; detect_backward }
+
+  let continues m e npn dir =
+    let delta = (npn - e.stpn) * dir in
+    delta >= 1 && delta <= m.load_length + 1
+
+  let sequential_dir m e npn =
+    if e.dir <> 0 then if continues m e npn e.dir then e.dir else 0
+    else if continues m e npn 1 then 1
+    else if m.detect_backward && continues m e npn (-1) then -1
+    else 0
+
+  let to_front m e = m.entries <- e :: List.filter (fun x -> x != e) m.entries
+
+  let on_fault m npn =
+    match List.find_opt (fun e -> List.mem npn e.pending) m.entries with
+    | Some e ->
+      let abort = e.pending in
+      e.pending <- [];
+      e.stpn <- npn;
+      e.dir <- 0;
+      to_front m e;
+      Restart_within (e, abort)
+    | None -> (
+      match List.find_opt (fun e -> sequential_dir m e npn <> 0) m.entries with
+      | Some e ->
+        let dir = sequential_dir m e npn in
+        e.dir <- dir;
+        e.stpn <- npn;
+        to_front m e;
+        Extend
+          ( e,
+            List.filter
+              (fun p -> p >= 0)
+              (List.init m.load_length (fun i -> npn + (dir * (i + 1)))) )
+      | None ->
+        let fresh = { stpn = npn; dir = 0; pending = [] } in
+        if List.length m.entries < m.capacity then begin
+          m.entries <- fresh :: m.entries;
+          New_stream (fresh, None)
+        end
+        else begin
+          let rev = List.rev m.entries in
+          m.entries <- fresh :: List.rev (List.tl rev);
+          New_stream (fresh, Some (List.hd rev))
+        end)
+end
+
+(* Random faults, each followed by a [set_pending] of a random subset of
+   the stream's pending pages plus its fresh predictions (the shape of
+   DFP's refresh), compared with the naive model after every step. *)
+let predictor_differential =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      quad (int_range 1 6) (int_range 1 5) bool
+        (list_size (int_range 1 150) (pair (int_range 0 80) (int_bound 1023))))
+  in
+  let print (len, ll, back, steps) =
+    Printf.sprintf "len=%d ll=%d back=%b steps=[%s]" len ll back
+      (String.concat "; "
+         (List.map (fun (p, m) -> Printf.sprintf "%d/%d" p m) steps))
+  in
+  Test.make ~name:"predictor equals a naive list model of Algorithm 1"
+    ~count:500 ~print gen (fun (len, ll, back, steps) ->
+      let p = predictor ~len ~ll ~detect_backward:back () in
+      let m =
+        Naive_predictor.create ~capacity:len ~load_length:ll
+          ~detect_backward:back
+      in
+      let view (s : SP.stream) = (s.stpn, s.dir, s.pending) in
+      let mview (e : Naive_predictor.entry) = (e.stpn, e.dir, e.pending) in
+      let fail step what =
+        Test.fail_reportf "step %d: %s differs from the model" step what
+      in
+      List.iteri
+        (fun step (npn, mask) ->
+          let stream, model_entry, fresh =
+            match (SP.on_fault p npn, Naive_predictor.on_fault m npn) with
+            | SP.Extend { stream; predict }, Naive_predictor.Extend (e, mpredict)
+              ->
+              if predict <> mpredict then fail step "predict";
+              (stream, e, predict)
+            | ( SP.Restart_within { stream; abort },
+                Naive_predictor.Restart_within (e, mabort) ) ->
+              if abort <> mabort then fail step "abort";
+              (stream, e, [])
+            | ( SP.New_stream { stream; replaced },
+                Naive_predictor.New_stream (e, mreplaced) ) ->
+              if Option.map view replaced <> Option.map mview mreplaced then
+                fail step "replaced";
+              (stream, e, [])
+            | _ -> fail step "reaction"
+          in
+          if view stream <> mview model_entry then fail step "stream";
+          (match SP.streams p with
+          | s :: _ when s == stream -> ()
+          | _ -> fail step "MRU head");
+          (* Keep the pages whose bit is set in [mask]. *)
+          let pending =
+            List.filteri (fun i _ -> (mask lsr i) land 1 = 1)
+              (stream.pending @ fresh)
+          in
+          SP.set_pending stream pending;
+          model_entry.pending <- pending;
+          if List.map view (SP.streams p) <> List.map mview m.entries then
+            fail step "streams")
+        steps;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Page LRU                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -870,7 +999,7 @@ let () =
           tc "reset" test_reset;
           tc "create validation" test_create_validation;
         ]
-        @ props predictor_qcheck );
+        @ props (predictor_qcheck @ [ predictor_differential ]) );
       ( "page_lru",
         [ tc "eviction" test_page_lru_eviction; tc "clear" test_page_lru_clear ]
         @ props page_lru_qcheck );

@@ -128,7 +128,7 @@ let test_preload_of_inflight_refused () =
   ignore (Enclave.request_preload e ~now:0 9);
   (* Force the load to start, then re-request while it is in flight. *)
   Enclave.sync e ~now:10;
-  checkb "now in flight" true (Enclave.in_flight e <> None);
+  checkb "now in flight" true (Enclave.in_flight_kind e <> None);
   checkb "in-flight refused" false (Enclave.request_preload e ~now:20 9)
 
 let test_fault_waits_for_inflight_preload () =
@@ -435,7 +435,7 @@ let test_preload_skipped_counted () =
   let m = Enclave.metrics e in
   checkb "some preloads were skipped" true (m.preloads_skipped > 0);
   let pending = List.length (Enclave.pending_preloads e) in
-  let in_flight = match Enclave.in_flight e with Some _ -> 1 | None -> 0 in
+  let in_flight = match Enclave.in_flight_kind e with Some _ -> 1 | None -> 0 in
   checki "every issued preload has exactly one disposition"
     m.preloads_issued
     (m.preloads_completed + m.preloads_aborted + m.preloads_taken_over
@@ -587,7 +587,7 @@ let enclave_qcheck =
         let e, _ = run_ops ops in
         let m = Enclave.metrics e in
         let pending = List.length (Enclave.pending_preloads e) in
-        let in_flight = match Enclave.in_flight e with Some _ -> 1 | None -> 0 in
+        let in_flight = match Enclave.in_flight_kind e with Some _ -> 1 | None -> 0 in
         m.preloads_issued
         = m.preloads_completed + m.preloads_aborted + m.preloads_taken_over
           + m.preloads_skipped + pending + in_flight);

@@ -1,5 +1,7 @@
 (* Unit tests for the sgxsim substrate (everything below the Enclave
-   facade; the facade has its own suite in test_enclave.ml). *)
+   facade; the facade has its own suite in test_enclave.ml), plus the
+   allocation contracts of the per-access path, which run through the
+   facade. *)
 
 module Cost_model = Sgxsim.Cost_model
 module Page_table = Sgxsim.Page_table
@@ -7,6 +9,7 @@ module Clock_evictor = Sgxsim.Clock_evictor
 module Load_channel = Sgxsim.Load_channel
 module Metrics = Sgxsim.Metrics
 module Event = Sgxsim.Event
+module Enclave = Sgxsim.Enclave
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -88,11 +91,26 @@ let test_pt_out_of_elrange () =
 (* Clock evictor                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One sweep over single-owner frames: [accessed] gives the access bits,
+   [clear] takes a second chance, [pinned] frames are passed over.
+   Returns the victim's page. *)
+let victim ?(pinned = fun _ -> false) c ~accessed ~clear =
+  let slot =
+    Clock_evictor.choose_victim c (fun ~owner:_ ~vpage ->
+        if pinned vpage then Clock_evictor.Pass
+        else if accessed vpage then begin
+          clear vpage;
+          Clock_evictor.Spare
+        end
+        else Clock_evictor.Take)
+  in
+  Clock_evictor.slot_vpage c slot
+
 let test_clock_insert_remove () =
   let c = Clock_evictor.create ~capacity:3 in
   checki "capacity" 3 (Clock_evictor.capacity c);
-  let s0 = Clock_evictor.insert c 10 in
-  let s1 = Clock_evictor.insert c 11 in
+  let s0 = Clock_evictor.insert c ~owner:0 10 in
+  let s1 = Clock_evictor.insert c ~owner:0 11 in
   checki "used" 2 (Clock_evictor.used c);
   checkb "not full" false (Clock_evictor.is_full c);
   Clock_evictor.remove c ~slot:s0;
@@ -101,15 +119,15 @@ let test_clock_insert_remove () =
 
 let test_clock_full_rejects_insert () =
   let c = Clock_evictor.create ~capacity:1 in
-  ignore (Clock_evictor.insert c 1);
+  ignore (Clock_evictor.insert c ~owner:0 1);
   Alcotest.check_raises "full" (Invalid_argument "Clock_evictor.insert: EPC full")
-    (fun () -> ignore (Clock_evictor.insert c 2))
+    (fun () -> ignore (Clock_evictor.insert c ~owner:0 2))
 
 let test_clock_second_chance () =
   let c = Clock_evictor.create ~capacity:3 in
-  ignore (Clock_evictor.insert c 0);
-  ignore (Clock_evictor.insert c 1);
-  ignore (Clock_evictor.insert c 2);
+  ignore (Clock_evictor.insert c ~owner:0 0);
+  ignore (Clock_evictor.insert c ~owner:0 1);
+  ignore (Clock_evictor.insert c ~owner:0 2);
   (* Page 0 and 1 have their access bits set; page 2 does not.  The sweep
      must clear 0 and 1 and pick 2. *)
   let bits = Hashtbl.create 4 in
@@ -118,7 +136,7 @@ let test_clock_second_chance () =
   Hashtbl.replace bits 2 false;
   let cleared = ref [] in
   let victim =
-    Clock_evictor.choose_victim c
+    victim c
       ~accessed:(fun v -> Hashtbl.find bits v)
       ~clear:(fun v ->
         cleared := v :: !cleared;
@@ -130,13 +148,13 @@ let test_clock_second_chance () =
 
 let test_clock_all_hot_eventually_victimizes () =
   let c = Clock_evictor.create ~capacity:2 in
-  ignore (Clock_evictor.insert c 0);
-  ignore (Clock_evictor.insert c 1);
+  ignore (Clock_evictor.insert c ~owner:0 0);
+  ignore (Clock_evictor.insert c ~owner:0 1);
   let bits = Hashtbl.create 4 in
   Hashtbl.replace bits 0 true;
   Hashtbl.replace bits 1 true;
   let victim =
-    Clock_evictor.choose_victim c
+    victim c
       ~accessed:(fun v -> Hashtbl.find bits v)
       ~clear:(fun v -> Hashtbl.replace bits v false)
   in
@@ -148,14 +166,11 @@ let test_clock_empty_rejects_victim () =
   let c = Clock_evictor.create ~capacity:2 in
   Alcotest.check_raises "empty"
     (Invalid_argument "Clock_evictor.choose_victim: EPC empty") (fun () ->
-      ignore
-        (Clock_evictor.choose_victim c
-           ~accessed:(fun _ -> false)
-           ~clear:(fun _ -> ())))
+      ignore (victim c ~accessed:(fun _ -> false) ~clear:(fun _ -> ())))
 
 let test_clock_scan_visits_all () =
   let c = Clock_evictor.create ~capacity:4 in
-  List.iter (fun p -> ignore (Clock_evictor.insert c p)) [ 5; 6; 7 ];
+  List.iter (fun p -> ignore (Clock_evictor.insert c ~owner:0 p)) [ 5; 6; 7 ];
   let visited = ref [] in
   Clock_evictor.scan c (fun v -> visited := v :: !visited);
   Alcotest.(check (list int)) "all resident" [ 5; 6; 7 ]
@@ -163,8 +178,8 @@ let test_clock_scan_visits_all () =
 
 let test_clock_resident () =
   let c = Clock_evictor.create ~capacity:4 in
-  let s = Clock_evictor.insert c 9 in
-  ignore (Clock_evictor.insert c 8);
+  let s = Clock_evictor.insert c ~owner:0 9 in
+  ignore (Clock_evictor.insert c ~owner:0 8);
   Clock_evictor.remove c ~slot:s;
   Alcotest.(check (list int)) "resident" [ 8 ]
     (List.sort compare (Clock_evictor.resident c))
@@ -176,12 +191,12 @@ let clock_qcheck =
       (fun (cap, hot) ->
         let c = Clock_evictor.create ~capacity:cap in
         for p = 0 to cap - 1 do
-          ignore (Clock_evictor.insert c p)
+          ignore (Clock_evictor.insert c ~owner:0 p)
         done;
         let bits = Array.make cap false in
         List.iter (fun h -> if h < cap then bits.(h) <- true) hot;
         let victim =
-          Clock_evictor.choose_victim c
+          victim c
             ~accessed:(fun v -> bits.(v))
             ~clear:(fun v -> bits.(v) <- false)
         in
@@ -191,47 +206,45 @@ let clock_qcheck =
 (* Pinned frames and owner tags: the shared-pool sweep added for fleet
    co-tenancy. *)
 
-let never_pinned ~owner:_ ~vpage:_ = false
-
 let test_clock_pinned_interleaved () =
   let c = Clock_evictor.create ~capacity:3 in
-  ignore (Clock_evictor.insert c 0);
-  ignore (Clock_evictor.insert c 1);
-  ignore (Clock_evictor.insert c 2);
+  ignore (Clock_evictor.insert c ~owner:0 0);
+  ignore (Clock_evictor.insert c ~owner:0 1);
+  ignore (Clock_evictor.insert c ~owner:0 2);
   (* 0 and 2 pinned, 1 hot: the sweep must pass over the pinned frames
      without touching their access bits, burn 1's second chance, and
      come back to victimize 1. *)
   let hot = ref [ 1 ] in
   let cleared = ref [] in
-  let owner, victim =
-    Clock_evictor.choose_victim_owned c
-      ~pinned:(fun ~owner:_ ~vpage -> vpage = 0 || vpage = 2)
-      ~accessed:(fun ~owner:_ ~vpage -> List.mem vpage !hot)
-      ~clear:(fun ~owner:_ ~vpage ->
-        cleared := vpage :: !cleared;
-        hot := List.filter (fun v -> v <> vpage) !hot)
+  let slot =
+    Clock_evictor.choose_victim c (fun ~owner:_ ~vpage ->
+        if vpage = 0 || vpage = 2 then Clock_evictor.Pass
+        else if List.mem vpage !hot then begin
+          cleared := vpage :: !cleared;
+          hot := List.filter (fun v -> v <> vpage) !hot;
+          Clock_evictor.Spare
+        end
+        else Clock_evictor.Take)
   in
-  checki "victim is the only unpinned page" 1 victim;
-  checki "default owner" 0 owner;
+  checki "victim is the only unpinned page" 1 (Clock_evictor.slot_vpage c slot);
+  checki "default owner" 0 (Clock_evictor.slot_owner c slot);
   Alcotest.(check (list int)) "pinned frames never cleared" [ 1 ] !cleared
 
 let test_clock_all_pinned_raises () =
   let c = Clock_evictor.create ~capacity:2 in
-  ignore (Clock_evictor.insert c 0);
-  ignore (Clock_evictor.insert c 1);
+  ignore (Clock_evictor.insert c ~owner:0 0);
+  ignore (Clock_evictor.insert c ~owner:0 1);
   Alcotest.check_raises "all pinned" Clock_evictor.No_evictable_page
     (fun () ->
       ignore
-        (Clock_evictor.choose_victim_owned c
-           ~pinned:(fun ~owner:_ ~vpage:_ -> true)
-           ~accessed:(fun ~owner:_ ~vpage:_ -> false)
-           ~clear:(fun ~owner:_ ~vpage:_ -> ())))
+        (Clock_evictor.choose_victim c (fun ~owner:_ ~vpage:_ ->
+             Clock_evictor.Pass)))
 
 let test_clock_owner_roundtrip () =
   let c = Clock_evictor.create ~capacity:4 in
-  ignore (Clock_evictor.insert ~owner:2 c 40);
-  ignore (Clock_evictor.insert ~owner:5 c 41);
-  ignore (Clock_evictor.insert ~owner:2 c 42);
+  ignore (Clock_evictor.insert c ~owner:2 40);
+  ignore (Clock_evictor.insert c ~owner:5 41);
+  ignore (Clock_evictor.insert c ~owner:2 42);
   Alcotest.(check (list (pair int int)))
     "frames per owner" [ (2, 2); (5, 1) ]
     (Clock_evictor.resident_by_owner c);
@@ -240,35 +253,178 @@ let test_clock_owner_roundtrip () =
   Alcotest.(check (list (pair int int)))
     "scan reports owner tags" [ (2, 40); (2, 42); (5, 41) ]
     (List.sort compare !seen);
-  (* The sweep returns the victim's owner alongside the vpage. *)
-  let owner, victim =
-    Clock_evictor.choose_victim_owned c ~pinned:never_pinned
-      ~accessed:(fun ~owner:_ ~vpage:_ -> false)
-      ~clear:(fun ~owner:_ ~vpage:_ -> ())
+  (* The probe sees each frame's owner, and the victim slot reads back
+     with the owner that inserted it. *)
+  let probed = ref [] in
+  let slot =
+    Clock_evictor.choose_victim c (fun ~owner ~vpage ->
+        probed := (owner, vpage) :: !probed;
+        Clock_evictor.Take)
   in
+  let owner = Clock_evictor.slot_owner c slot
+  and victim = Clock_evictor.slot_vpage c slot in
+  Alcotest.(check (list (pair int int))) "probe sees the tag" [ (owner, victim) ]
+    !probed;
   checkb "victim tagged with its inserter"
     true
     (List.mem (owner, victim) [ (2, 40); (2, 42); (5, 41) ])
+
+(* Slot order is simulated state: the hand sweeps slots in index order,
+   so which slot a page lands in decides when a sweep meets it. *)
+let test_clock_slot_order () =
+  let c = Clock_evictor.create ~capacity:8 in
+  let slots = List.map (fun v -> Clock_evictor.insert c ~owner:0 v) [ 10; 11; 12; 13; 14 ] in
+  Alcotest.(check (list int)) "fresh pool fills 0, 1, 2, ..." [ 0; 1; 2; 3; 4 ] slots;
+  Clock_evictor.remove c ~slot:1;
+  Clock_evictor.remove c ~slot:3;
+  let reused = List.map (fun v -> Clock_evictor.insert c ~owner:0 v) [ 20; 21; 22 ] in
+  Alcotest.(check (list int)) "last freed, first reused; then the untouched tail"
+    [ 3; 1; 5 ] reused;
+  Alcotest.(check (list int)) "frame order" [ 10; 21; 12; 20; 14; 22 ]
+    (Clock_evictor.resident c)
+
+(* The reference CLOCK: an option array, a free list and a hand, as
+   plain as it gets. *)
+module Naive_clock = struct
+  type t = { slots : int option array; mutable free : int list; mutable hand : int }
+
+  let create cap =
+    { slots = Array.make cap None; free = List.init cap Fun.id; hand = 0 }
+
+  let insert m v =
+    match m.free with
+    | s :: rest ->
+      m.free <- rest;
+      m.slots.(s) <- Some v;
+      s
+    | [] -> invalid_arg "Naive_clock.insert: full"
+
+  let remove m s =
+    m.slots.(s) <- None;
+    m.free <- s :: m.free
+
+  let rec victim m bits =
+    let s = m.hand in
+    m.hand <- (m.hand + 1) mod Array.length m.slots;
+    match m.slots.(s) with
+    | None -> victim m bits
+    | Some v when bits.(v) ->
+      bits.(v) <- false;
+      victim m bits
+    | Some _ -> s
+end
+
+let clock_model_qcheck =
+  let open QCheck2 in
+  let gen =
+    Gen.(pair (int_range 1 12) (list_size (int_range 1 200) (pair (int_bound 3) nat)))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "cap=%d ops=[%s]" cap
+      (String.concat "; " (List.map (fun (k, x) -> Printf.sprintf "%d/%d" k x) ops))
+  in
+  Test.make ~name:"slots and victims equal a list model" ~count:300 ~print gen
+    (fun (cap, ops) ->
+      let c = Clock_evictor.create ~capacity:cap in
+      let m = Naive_clock.create cap in
+      (* Pages are numbered by insertion; each side keeps its own bits. *)
+      let bits = Array.make 256 false and mbits = Array.make 256 false in
+      let next = ref 0 in
+      let occupied () =
+        List.filter (fun s -> m.Naive_clock.slots.(s) <> None) (List.init cap Fun.id)
+      in
+      let pick x =
+        match occupied () with [] -> None | l -> Some (List.nth l (x mod List.length l))
+      in
+      List.for_all
+        (fun (kind, x) ->
+          (match kind with
+          | 0 when !next < 256 && not (Clock_evictor.is_full c) ->
+            let v = !next in
+            incr next;
+            bits.(v) <- x land 1 = 1;
+            mbits.(v) <- x land 1 = 1;
+            if Clock_evictor.insert c ~owner:0 v <> Naive_clock.insert m v then
+              Test.fail_report "insert slot"
+          | 1 -> (
+            match pick x with
+            | Some s ->
+              Clock_evictor.remove c ~slot:s;
+              Naive_clock.remove m s
+            | None -> ())
+          | 2 -> (
+            match pick x with
+            | Some s ->
+              let v = Clock_evictor.slot_vpage c s in
+              bits.(v) <- true;
+              mbits.(v) <- true
+            | None -> ())
+          | _ ->
+            if Clock_evictor.used c > 0 then begin
+              let s =
+                Clock_evictor.choose_victim c (fun ~owner:_ ~vpage ->
+                    if bits.(vpage) then begin
+                      bits.(vpage) <- false;
+                      Clock_evictor.Spare
+                    end
+                    else Clock_evictor.Take)
+              in
+              if s <> Naive_clock.victim m mbits then Test.fail_report "victim";
+              Clock_evictor.remove c ~slot:s;
+              Naive_clock.remove m s
+            end);
+          Clock_evictor.resident c
+          = List.filter_map Fun.id (Array.to_list m.Naive_clock.slots)
+          && bits = mbits)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Load channel                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The FIFO head as [(vpage, queued_at)], [None] when empty: the shape
+   the list model below speaks. *)
+let head ch =
+  let v = Load_channel.next_queued_vpage ch in
+  if v < 0 then None else Some (v, Load_channel.next_queued_at ch)
+
+(* Pop the head, checking that [pop_queued] returns its page. *)
+let pop ch =
+  let h = head ch in
+  let v = Load_channel.pop_queued ch in
+  checki "pop returns the head page"
+    (match h with Some (hv, _) -> hv | None -> -1)
+    v;
+  h
+
 let test_channel_lifecycle () =
   let ch = Load_channel.create ~pages:4096 in
   checkb "initially idle" false (Load_channel.is_busy ch ~now:0);
-  let l = Load_channel.begin_load ch ~vpage:5 ~kind:Load_channel.Demand ~now:100 ~duration:44_000 in
-  checki "finishes" 44_100 l.finishes;
+  checki "no page in flight" (-1) (Load_channel.in_flight_vpage ch);
+  let finishes =
+    Load_channel.begin_load ch ~vpage:5 ~kind:Load_channel.Demand ~now:100
+      ~duration:44_000
+  in
+  checki "finishes" 44_100 finishes;
+  checki "in-flight finishes" 44_100 (Load_channel.in_flight_finishes ch);
+  checkb "in-flight kind" true
+    (match Load_channel.in_flight_kind ch with Demand -> true | _ -> false);
   checkb "busy during" true (Load_channel.is_busy ch ~now:200);
   checki "busy until" 44_100 (Load_channel.busy_until ch ~now:200);
-  checkb "no completion early" true (Load_channel.take_completed ch ~now:200 = None);
-  (match Load_channel.take_completed ch ~now:44_100 with
-  | Some done_ -> checki "completed page" 5 done_.vpage
-  | None -> Alcotest.fail "expected completion");
+  checkb "no completion early" false (Load_channel.take_completed ch ~now:200);
+  checki "in-flight page" 5 (Load_channel.in_flight_vpage ch);
+  checkb "completes" true (Load_channel.take_completed ch ~now:44_100);
+  checki "collected" (-1) (Load_channel.in_flight_vpage ch);
   checkb "idle after" false (Load_channel.is_busy ch ~now:44_100)
 
 let test_channel_busy_rejects_load () =
   let ch = Load_channel.create ~pages:4096 in
+  (* -1 is the idle sentinel of [in_flight_vpage]. *)
+  Alcotest.check_raises "negative page"
+    (Invalid_argument "Load_channel.begin_load: negative page") (fun () ->
+      ignore
+        (Load_channel.begin_load ch ~vpage:(-1) ~kind:Load_channel.Demand
+           ~now:0 ~duration:10));
   ignore (Load_channel.begin_load ch ~vpage:1 ~kind:Load_channel.Demand ~now:0 ~duration:10);
   Alcotest.check_raises "busy" (Invalid_argument "Load_channel.begin_load: channel busy")
     (fun () ->
@@ -282,11 +438,9 @@ let test_channel_queue_fifo () =
   Load_channel.queue_preload ch ~vpage:2 ~at:20;
   Load_channel.queue_preload ch ~vpage:3 ~at:30;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (Load_channel.queued ch);
-  Alcotest.(check (option (pair int int))) "head" (Some (1, 10))
-    (Load_channel.next_queued ch);
-  ignore (Load_channel.pop_queued ch);
-  Alcotest.(check (option (pair int int))) "next" (Some (2, 20))
-    (Load_channel.next_queued ch)
+  Alcotest.(check (option (pair int int))) "head" (Some (1, 10)) (head ch);
+  ignore (pop ch);
+  Alcotest.(check (option (pair int int))) "next" (Some (2, 20)) (head ch)
 
 let test_channel_abort () =
   let ch = Load_channel.create ~pages:4096 in
@@ -301,7 +455,7 @@ let test_channel_abort_spares_inflight () =
   ignore (Load_channel.begin_load ch ~vpage:9 ~kind:Load_channel.Preload_dfp ~now:0 ~duration:100);
   Load_channel.queue_preload ch ~vpage:10 ~at:0;
   checki "only queued dropped" 1 (Load_channel.abort_queued ch);
-  checkb "in-flight survives" true (Load_channel.in_flight ch <> None)
+  checki "in-flight survives" 9 (Load_channel.in_flight_vpage ch)
 
 let test_channel_remove_queued () =
   let ch = Load_channel.create ~pages:4096 in
@@ -339,9 +493,9 @@ let test_channel_fifo_across_interleavings () =
   checki "abort odd pages > 4" 1 (Load_channel.abort_queued_where ch (fun v -> v > 4 && v mod 2 = 1));
   Alcotest.(check (list int)) "order" [ 1; 3; 4; 6 ] (Load_channel.queued ch);
   (* Pop walks over the lazily-deleted slots without disturbing order. *)
-  Alcotest.(check (option (pair int int))) "head" (Some (1, 1)) (Load_channel.pop_queued ch);
+  Alcotest.(check (option (pair int int))) "head" (Some (1, 1)) (pop ch);
   checkb "take-over of 4 mid-queue" true (Load_channel.remove_queued ch 4);
-  Alcotest.(check (option (pair int int))) "next head" (Some (3, 3)) (Load_channel.next_queued ch);
+  Alcotest.(check (option (pair int int))) "next head" (Some (3, 3)) (head ch);
   Alcotest.(check (list int)) "remaining" [ 3; 6 ] (Load_channel.queued ch);
   checki "live length" 2 (Load_channel.queue_length ch)
 
@@ -354,11 +508,11 @@ let test_channel_requeue_after_removal_goes_to_tail () =
   Load_channel.queue_preload ch ~vpage:9 ~at:1;
   Load_channel.queue_preload ch ~vpage:7 ~at:2;
   Alcotest.(check (list int)) "tail position" [ 8; 9; 7 ] (Load_channel.queued ch);
-  Alcotest.(check (option (pair int int))) "head is 8" (Some (8, 0)) (Load_channel.pop_queued ch);
-  Alcotest.(check (option (pair int int))) "then 9" (Some (9, 1)) (Load_channel.pop_queued ch);
+  Alcotest.(check (option (pair int int))) "head is 8" (Some (8, 0)) (pop ch);
+  Alcotest.(check (option (pair int int))) "then 9" (Some (9, 1)) (pop ch);
   Alcotest.(check (option (pair int int)))
-    "re-queued 7 carries its new timestamp" (Some (7, 2)) (Load_channel.pop_queued ch);
-  Alcotest.(check (option (pair int int))) "empty" None (Load_channel.pop_queued ch)
+    "re-queued 7 carries its new timestamp" (Some (7, 2)) (pop ch);
+  Alcotest.(check (option (pair int int))) "empty" None (pop ch)
 
 let test_channel_abort_pages () =
   let ch = Load_channel.create ~pages:64 in
@@ -481,11 +635,11 @@ let test_channel_differential_random () =
     | k when k < 65 ->
       Alcotest.(check (option (pair int int)))
         (Printf.sprintf "step %d: pop" step)
-        (Ref_queue.pop rf) (Load_channel.pop_queued ch)
+        (Ref_queue.pop rf) (pop ch)
     | k when k < 75 ->
       Alcotest.(check (option (pair int int)))
         (Printf.sprintf "step %d: next" step)
-        (Ref_queue.next rf) (Load_channel.next_queued ch)
+        (Ref_queue.next rf) (head ch)
     | k when k < 90 ->
       let v = Repro_util.Prng.int prng pages in
       checkb
@@ -664,6 +818,73 @@ let arbiter_qcheck =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Allocation contracts                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words allocated per call of [f], over [n] calls.  Reading
+   the counter is itself allocation-free, so a contract of "no words"
+   can be checked to within a rounding error. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_words ctx ~at_most words =
+  if not (words <= at_most) then
+    Alcotest.failf "%s: %.2f words per call, contract is at most %.2f" ctx
+      words at_most
+
+let sink = ref 0
+
+let test_alloc_channel_head_probe () =
+  (* The background scheduler peeks the FIFO head on every pump step. *)
+  let ch = Load_channel.create ~pages:4096 in
+  List.iter (fun v -> Load_channel.queue_preload ch ~vpage:v ~at:v) [ 3; 4; 5 ];
+  (* A lazily deleted head slot: the first probe drops it. *)
+  checkb "take-over of the head" true (Load_channel.remove_queued ch 3);
+  let words =
+    words_per_call 10_000 (fun () ->
+        sink :=
+          !sink + Load_channel.next_queued_vpage ch
+          + Load_channel.next_queued_at ch)
+  in
+  checki "head" 4 (Load_channel.next_queued_vpage ch);
+  check_words "next_queued_vpage + next_queued_at" ~at_most:0.01 words
+
+let test_alloc_resident_access () =
+  let e = Enclave.create ~epc_pages:64 ~elrange_pages:1024 () in
+  let now = ref (Enclave.access e ~now:0 5) in
+  let words =
+    words_per_call 10_000 (fun () -> now := Enclave.access e ~now:!now 5)
+  in
+  checki "one fault, then hits" 1 (Sgxsim.Metrics.total_faults (Enclave.metrics e));
+  check_words "Enclave.access on a resident page" ~at_most:0.01 words
+
+let test_alloc_demand_fault () =
+  (* 900 pages cycled through 64 frames: every access is a demand fault
+     that evicts.  With the null log and no hooks installed, the one
+     allocation left is the [fault_ctx] handed to the (no-op) hook. *)
+  let pages = 900 in
+  let e = Enclave.create ~epc_pages:64 ~elrange_pages:pages () in
+  let now = ref 0 in
+  let next = ref 0 in
+  let fault () =
+    now := Enclave.access e ~now:!now !next;
+    next := (!next + 1) mod pages
+  in
+  for _ = 1 to pages do
+    fault ()
+  done;
+  let n = 9 * pages in
+  let words = words_per_call n fault in
+  let m = Enclave.metrics e in
+  checki "every access faulted" (pages + n) (Sgxsim.Metrics.total_faults m);
+  checkb "and evicted" true (m.evictions >= n);
+  check_words "demand fault" ~at_most:10.0 words
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -694,8 +915,9 @@ let () =
           tc "pinned frames interleaved" test_clock_pinned_interleaved;
           tc "all pinned raises" test_clock_all_pinned_raises;
           tc "owner tags round-trip" test_clock_owner_roundtrip;
+          tc "slot order" test_clock_slot_order;
         ]
-        @ props clock_qcheck );
+        @ props (clock_qcheck @ [ clock_model_qcheck ]) );
       ( "load_channel",
         [
           tc "lifecycle" test_channel_lifecycle;
@@ -717,6 +939,12 @@ let () =
             test_arbiter_penalty_does_not_compound;
         ]
         @ props (channel_qcheck @ arbiter_qcheck) );
+      ( "alloc",
+        [
+          tc "channel head probe allocates nothing" test_alloc_channel_head_probe;
+          tc "resident access allocates nothing" test_alloc_resident_access;
+          tc "demand fault allocates at most 10 words" test_alloc_demand_fault;
+        ] );
       ( "metrics_event",
         [
           tc "metrics totals" test_metrics_totals;

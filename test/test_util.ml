@@ -504,15 +504,16 @@ let test_histogram_observed_extremes () =
 module Deque = Repro_util.Deque
 
 let test_deque_basics () =
-  let d = Deque.create ~dummy:0 () in
+  let d = Deque.create ~dummy:(-1) () in
   checkb "empty" true (Deque.is_empty d);
-  check Alcotest.(option int) "peek empty" None (Deque.peek_front d);
-  check Alcotest.(option int) "pop empty" None (Deque.pop_front d);
+  checki "front of empty is the dummy" (-1) (Deque.front d);
+  checki "pop of empty is the dummy" (-1) (Deque.pop_front d);
+  checki "pop of empty changes nothing" 0 (Deque.length d);
   List.iter (Deque.push_back d) [ 1; 2; 3 ];
   checki "length" 3 (Deque.length d);
-  check Alcotest.(option int) "peek" (Some 1) (Deque.peek_front d);
+  checki "front" 1 (Deque.front d);
   check Alcotest.(list int) "to_list" [ 1; 2; 3 ] (Deque.to_list d);
-  check Alcotest.(option int) "pop" (Some 1) (Deque.pop_front d);
+  checki "pop" 1 (Deque.pop_front d);
   check Alcotest.(list int) "after pop" [ 2; 3 ] (Deque.to_list d);
   Deque.clear d;
   checkb "cleared" true (Deque.is_empty d)
@@ -524,8 +525,8 @@ let test_deque_growth_wraps () =
   for i = 0 to 2 do
     Deque.push_back d i
   done;
-  check Alcotest.(option int) "pop 0" (Some 0) (Deque.pop_front d);
-  check Alcotest.(option int) "pop 1" (Some 1) (Deque.pop_front d);
+  checki "pop 0" 0 (Deque.pop_front d);
+  checki "pop 1" 1 (Deque.pop_front d);
   for i = 3 to 12 do
     Deque.push_back d i
   done;
@@ -540,7 +541,8 @@ let deque_qcheck =
     QCheck2.Test.make ~name:"deque behaves like a FIFO list" ~count:300
       QCheck2.Gen.(list (option small_int))
       (fun ops ->
-        (* [Some x] = push x, [None] = pop; compare against a list model. *)
+        (* [Some x] = push x, [None] = pop; compare against a list model.
+           Pushed values are non-negative, so the dummy marks "empty". *)
         let d = Deque.create ~capacity:1 ~dummy:(-1) () in
         let model = ref [] in
         List.for_all
@@ -551,9 +553,9 @@ let deque_qcheck =
               model := !model @ [ x ]
             | None -> (
               let got = Deque.pop_front d in
-              match (!model, got) with
-              | x :: rest, Some y when x = y -> model := rest
-              | [], None -> ()
+              match !model with
+              | x :: rest when x = got -> model := rest
+              | [] when got = -1 -> ()
               | _ -> model := [ max_int ]));
             Deque.to_list d = !model && Deque.length d = List.length !model)
           ops);
