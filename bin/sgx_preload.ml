@@ -61,9 +61,11 @@ let online_arg =
   let doc =
     "Attach the online adaptive controller (no PGO input): $(b,online) \
      for the stock configuration, or a parameterized spec like \
-     $(b,online:window=8,probe=256).  The controller classifies pages \
-     from the CLOCK scan's harvested access bits and switches between \
-     baseline, DFP and learned instrumentation at scan boundaries."
+     $(b,online:window=8,probe=256).  The controller classifies every \
+     access (§4.4 Class 1/2/3) against its own LRU residency proxy, sized \
+     to the EPC, and stream predictor, never reading the enclave, and \
+     switches between baseline, DFP and learned instrumentation at scan \
+     boundaries."
   in
   Arg.(
     value
@@ -401,13 +403,14 @@ let run_logged ?online ~workload ~scheme_name ~epc ~input ~log_capacity () =
     Sim.Runner.run ~spec ~scheme trace
 
 let validate_cmd =
-  let action workload scheme epc input =
+  let action workload scheme epc input online =
     (* Large enough to keep full histories for the shipped workloads, so
        the event-derived checks actually run; Validate skips them if the
        ring still overflows. *)
     let result =
-      run_logged ~workload ~scheme_name:scheme ~epc ~input
-        ~log_capacity:(1 lsl 20) ()
+      run_logged
+        ?online:(online_of online)
+        ~workload ~scheme_name:scheme ~epc ~input ~log_capacity:(1 lsl 20) ()
     in
     if result.diagnostics.events_truncated then
       Printf.printf
@@ -427,7 +430,9 @@ let validate_cmd =
       exit 1
   in
   let term =
-    Term.(const action $ workload_arg $ scheme_pos_arg $ epc_arg $ input_arg)
+    Term.(
+      const action $ workload_arg $ scheme_pos_arg $ epc_arg $ input_arg
+      $ online_arg)
   in
   Cmd.v
     (Cmd.info "validate"

@@ -1,4 +1,5 @@
 module Enclave = Sgxsim.Enclave
+module Int_table = Repro_util.Int_table
 
 type config = {
   stream_list_length : int;
@@ -21,15 +22,11 @@ let default_config =
 
 let with_stop config = { config with stop_enabled = true }
 
-(* Per-thread predictor lookup runs on every fault, so the common case —
-   small non-negative thread ids, which is what every trace generator
-   produces — is an array probe; the Hashtbl only backs exotic ids. *)
-let small_threads = 256
-
 type t = {
   config : config;
-  small : Stream_predictor.t option array; (* keyed by thread, [0, 256) *)
-  others : (int, Stream_predictor.t) Hashtbl.t; (* any other thread id *)
+  (* Per-thread predictor lookup runs on every fault; small thread ids,
+     which is what every trace generator produces, are an array probe. *)
+  predictors : Stream_predictor.t Int_table.t;
   mutable predictor_count : int;
   mutable acc_preload_counter : int;
   mutable preload_counter : int;
@@ -44,20 +41,13 @@ let new_predictor t =
 
 let predictor_for t thread =
   let key = if t.config.per_thread then thread else 0 in
-  if key >= 0 && key < small_threads then (
-    match t.small.(key) with
-    | Some p -> p
-    | None ->
-      let p = new_predictor t in
-      t.small.(key) <- Some p;
-      p)
-  else
-    match Hashtbl.find_opt t.others key with
-    | Some p -> p
-    | None ->
-      let p = new_predictor t in
-      Hashtbl.add t.others key p;
-      p
+  let p = Int_table.find t.predictors key in
+  if p != Int_table.dummy t.predictors then p
+  else begin
+    let p = new_predictor t in
+    Int_table.set t.predictors key p;
+    p
+  end
 
 (* A stream's new pending window, built in one pass: the old pending
    pages still queued (checked against the enclave's per-vpage queue
@@ -120,8 +110,10 @@ let check_stop t enclave ~now =
 let create config =
   {
     config;
-    small = Array.make small_threads None;
-    others = Hashtbl.create 4;
+    (* The dummy marks an unseen thread and is never handed out. *)
+    predictors =
+      Int_table.create
+        ~dummy:(Stream_predictor.create ~stream_list_length:1 ~load_length:1 ());
     predictor_count = 0;
     acc_preload_counter = 0;
     preload_counter = 0;

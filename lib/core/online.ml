@@ -1,4 +1,5 @@
 module Enclave = Sgxsim.Enclave
+module Int_table = Repro_util.Int_table
 
 type mode = Baseline | Dfp | Sip | Hybrid
 
@@ -169,7 +170,13 @@ type site_stat = {
   mutable l_c3 : int;
   (* Accesses in the current tumbling window (the entropy input). *)
   mutable w_count : int;
+  (* The site's label: whether its accesses take the SIP path. *)
+  mutable instrument : bool;
 }
+
+let new_site_stat () =
+  { p_c1 = 0; p_c2 = 0; p_c3 = 0; l_c1 = 0; l_c2 = 0; l_c3 = 0; w_count = 0;
+    instrument = false }
 
 type t = {
   config : config;
@@ -178,8 +185,10 @@ type t = {
   predictor : Stream_predictor.t;
   residency : Page_lru.t;
   dfp : Dfp.t option;
-  sites : (int, site_stat) Hashtbl.t;
-  instrumented : (int, unit) Hashtbl.t;
+  (* Every site seen so far; the dummy (never mutated, never
+     instrumented) answers for the rest. *)
+  sites : site_stat Int_table.t;
+  mutable instrumented : int; (* sites whose label is on *)
   mutable mode : mode;
   mutable observed : int;
   (* Tumbling window of [config.window] scans, mirroring the breaker's
@@ -195,8 +204,8 @@ type t = {
   mutable label_changes_rev : label_change list;
 }
 
-let create ?(config = default_config) ~residency_pages ?(can_dfp = true)
-    ?(can_sip = true) () =
+let create ?(config = default_config) ~residency_pages ~elrange_pages
+    ?(can_dfp = true) ?(can_sip = true) () =
   let config = validate config in
   let dfp_config = Dfp.default_config in
   {
@@ -207,10 +216,11 @@ let create ?(config = default_config) ~residency_pages ?(can_dfp = true)
       Stream_predictor.create
         ~stream_list_length:dfp_config.Dfp.stream_list_length
         ~load_length:dfp_config.Dfp.load_length ();
-    residency = Page_lru.create ~capacity:(max 1 residency_pages);
+    residency =
+      Page_lru.create ~capacity:(Int.max 1 residency_pages) ~pages:elrange_pages;
     dfp = (if can_dfp then Some (Dfp.create dfp_config) else None);
-    sites = Hashtbl.create 64;
-    instrumented = Hashtbl.create 16;
+    sites = Int_table.create ~dummy:(new_site_stat ());
+    instrumented = 0;
     mode = Option.value config.pin ~default:Baseline;
     observed = 0;
     w_scans = 0;
@@ -230,7 +240,7 @@ let observed t = t.observed
 let phase_shifts t = t.phase_shifts
 let transitions t = List.rev t.transitions_rev
 let label_changes t = List.rev t.label_changes_rev
-let instrumented_count t = Hashtbl.length t.instrumented
+let instrumented_count t = t.instrumented
 
 let dfp_active t =
   t.can_dfp && (match t.mode with Dfp | Hybrid -> true | Baseline | Sip -> false)
@@ -238,22 +248,21 @@ let dfp_active t =
 let sip_active t =
   t.can_sip && (match t.mode with Sip | Hybrid -> true | Baseline | Dfp -> false)
 
-let site_predicate t site = sip_active t && Hashtbl.mem t.instrumented site
+let site_predicate t site =
+  sip_active t && (Int_table.find t.sites site).instrument
 
 (* ------------------------------------------------------------------ *)
 (* Classifier                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let site_stat_for t site =
-  match Hashtbl.find_opt t.sites site with
-  | Some s -> s
-  | None ->
-    let s =
-      { p_c1 = 0; p_c2 = 0; p_c3 = 0; l_c1 = 0; l_c2 = 0; l_c3 = 0;
-        w_count = 0 }
-    in
-    Hashtbl.add t.sites site s;
+  let s = Int_table.find t.sites site in
+  if s != Int_table.dummy t.sites then s
+  else begin
+    let s = new_site_stat () in
+    Int_table.set t.sites site s;
     s
+  end
 
 (* Classify one access against the controller's own residency proxy and
    fault-history predictor (the same §4.4 pipeline the offline profiler
@@ -265,11 +274,7 @@ let observe t ~site ~vpage =
   t.w_total <- t.w_total + 1;
   let s = site_stat_for t site in
   s.w_count <- s.w_count + 1;
-  match
-    Sip_profiler.classify_one t.predictor t.residency
-      ~load_length:(Stream_predictor.load_length t.predictor)
-      vpage
-  with
+  match Sip_profiler.classify_one t.predictor t.residency vpage with
   | Sip_profiler.Class1 ->
     t.w_c1 <- t.w_c1 + 1;
     s.p_c1 <- s.p_c1 + 1;
@@ -291,7 +296,7 @@ let window_entropy t =
   let total = float_of_int t.w_total in
   if t.w_total = 0 then 0.0
   else
-    Hashtbl.fold
+    Int_table.fold
       (fun _ s acc ->
         if s.w_count = 0 then acc
         else
@@ -304,7 +309,7 @@ let window_entropy t =
    timestamp — labels never change anywhere else. *)
 let relabel t ~at =
   let flips = ref [] in
-  Hashtbl.iter
+  Int_table.iter
     (fun site s ->
       let samples = s.p_c1 + s.p_c2 + s.p_c3 in
       let ratio =
@@ -314,17 +319,17 @@ let relabel t ~at =
       let should =
         samples >= t.config.site_min && ratio >= t.config.threshold
       in
-      let is = Hashtbl.mem t.instrumented site in
-      if should <> is then flips := (site, should) :: !flips)
+      if should <> s.instrument then flips := (site, s) :: !flips)
     t.sites;
   List.iter
-    (fun (site, should) ->
-      if should then Hashtbl.replace t.instrumented site ()
-      else Hashtbl.remove t.instrumented site;
+    (fun (site, s) ->
+      let should = not s.instrument in
+      s.instrument <- should;
+      t.instrumented <- (t.instrumented + if should then 1 else -1);
       t.label_changes_rev <-
         { lc_at = at; lc_site = site; lc_instrument = should }
         :: t.label_changes_rev)
-    (List.sort compare !flips)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !flips)
 
 (* ------------------------------------------------------------------ *)
 (* Controller                                                          *)
@@ -346,7 +351,7 @@ let on_scan t enclave ~at =
         (* Change-point: the access mix shifted.  Forget the phase-local
            evidence so labels re-derive from post-shift behaviour. *)
         t.phase_shifts <- t.phase_shifts + 1;
-        Hashtbl.iter
+        Int_table.iter
           (fun _ s ->
             s.p_c1 <- 0;
             s.p_c2 <- 0;
@@ -363,7 +368,7 @@ let on_scan t enclave ~at =
         | Some m -> m
         | None -> (
           let dfp_on = stream_share >= t.config.dfp_share in
-          let sip_on = Hashtbl.length t.instrumented > 0 in
+          let sip_on = t.instrumented > 0 in
           match (dfp_on, sip_on) with
           | true, true -> Hybrid
           | true, false -> Dfp
@@ -393,7 +398,7 @@ let on_scan t enclave ~at =
     t.w_c1 <- 0;
     t.w_c2 <- 0;
     t.w_c3 <- 0;
-    Hashtbl.iter (fun _ s -> s.w_count <- 0) t.sites
+    Int_table.iter (fun _ s -> s.w_count <- 0) t.sites
   end
 
 let attach t enclave =
@@ -429,7 +434,7 @@ let summary t =
     s_instrumented = instrumented_count t;
     s_phase_shifts = t.phase_shifts;
     per_site =
-      Hashtbl.fold
+      Int_table.fold
         (fun site s acc -> (site, (s.l_c1, s.l_c2, s.l_c3)) :: acc)
         t.sites []
       |> List.sort compare;

@@ -90,12 +90,15 @@ type t
 val create :
   ?config:config ->
   residency_pages:int ->
+  elrange_pages:int ->
   ?can_dfp:bool ->
   ?can_sip:bool ->
   unit ->
   t
 (** Fresh controller.  [residency_pages] sizes the classifier's
-    residency proxy (the EPC frame count).  [can_dfp]/[can_sip] (both
+    residency proxy (the EPC frame count, an exact {!Page_lru}) and
+    [elrange_pages] its page domain: every observed page must lie in
+    [\[0, elrange_pages)].  [can_dfp]/[can_sip] (both
     default [true]) record which actuation slots the base scheme left
     free: a scheme owning the enclave's fault hook keeps it
     ([can_dfp = false], the controller only observes), and a scheme with
@@ -113,7 +116,8 @@ val observe : t -> site:int -> vpage:int -> unit
 (** Feed one access to the classifier.  Pure bookkeeping against the
     controller's own residency proxy — never touches the enclave, so an
     observed replay is cycle-identical to an unobserved one until the
-    controller actuates. *)
+    controller actuates.  The site's record is an array probe for small
+    site ids, and a Class 1 (resident) access allocates nothing. *)
 
 val mode : t -> mode
 val config : t -> config

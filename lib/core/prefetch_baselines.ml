@@ -38,7 +38,9 @@ let attach_markov enclave ~table_pages ~degree =
   (* page -> most-recent-first successor list (bounded by [degree]);
      entries tracked in an LRU so the table stays bounded. *)
   let successors : (int, int list) Hashtbl.t = Hashtbl.create (2 * table_pages) in
-  let recency = Page_lru.create ~capacity:table_pages in
+  let recency =
+    Page_lru.create ~capacity:table_pages ~pages:(Enclave.elrange_pages enclave)
+  in
   let last_fault = ref None in
   Enclave.set_on_fault enclave (fun enc (ctx : Enclave.fault_ctx) ->
       let now = ctx.handled_at in

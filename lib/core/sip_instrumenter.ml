@@ -30,9 +30,11 @@ let is_instrumented plan site =
   List.exists (fun d -> d.instrument && d.site = site) plan.decisions
 
 let site_predicate plan =
-  let set = Hashtbl.create 64 in
-  List.iter (fun d -> if d.instrument then Hashtbl.replace set d.site ()) plan.decisions;
-  fun site -> Hashtbl.mem set site
+  let set = Repro_util.Int_table.create ~dummy:false in
+  List.iter
+    (fun d -> if d.instrument then Repro_util.Int_table.set set d.site true)
+    plan.decisions;
+  fun site -> Repro_util.Int_table.find set site
 
 let empty_plan ~workload = { workload; threshold = default_threshold; decisions = [] }
 

@@ -37,7 +37,8 @@ val is_instrumented : plan -> int -> bool
 (** Membership by list scan; fine for occasional queries. *)
 
 val site_predicate : plan -> int -> bool
-(** Build an O(1) membership test (hash-backed); build it once per run
+(** Build an O(1) membership test ({!Repro_util.Int_table}: no hashing
+    for small site ids, no allocation per call); build it once per run
     and call it per access. *)
 
 val empty_plan : workload:string -> plan

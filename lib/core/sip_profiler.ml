@@ -1,4 +1,5 @@
 module Trace = Workload.Trace
+module Int_table = Repro_util.Int_table
 
 type access_class = Class1 | Class2 | Class3
 
@@ -17,34 +18,18 @@ type t = {
   workload : string;
   input : string;
   config : config;
-  per_site : (int, site_counts) Hashtbl.t;
+  per_site : site_counts Int_table.t;
   mutable total_accesses : int;
 }
 
-(* Would DFP's stream list consider [page] covered?  Either it extends a
-   stream or it sits within [load_length] pages ahead of a tail (the
-   window DFP would have preloaded). *)
-let within_stream predictor ~load_length page =
-  List.exists
-    (fun (s : Stream_predictor.stream) ->
-      let delta = page - s.stpn in
-      if s.dir > 0 then delta >= 1 && delta <= load_length
-      else if s.dir < 0 then -delta >= 1 && -delta <= load_length
-      else abs delta >= 1 && abs delta <= load_length)
-    (Stream_predictor.streams predictor)
-
-let classify_one predictor cache ~load_length page =
-  let resident = Page_lru.mem cache page in
-  if resident then begin
-    ignore (Page_lru.touch cache page);
-    Class1
-  end
+let classify_one predictor cache page =
+  if Page_lru.touch cache page then Class1
   else begin
-    let cls = if within_stream predictor ~load_length page then Class2 else Class3 in
-    (* A non-resident access is a (simulated) fault: it enters the fault
+    (* A non-resident access is a (simulated) fault: it is classified
+       against the stream list as it stood, then enters the fault
        history exactly as the OS would record it. *)
+    let cls = if Stream_predictor.covers predictor page then Class2 else Class3 in
     ignore (Stream_predictor.on_fault predictor page);
-    ignore (Page_lru.touch cache page);
     cls
   end
 
@@ -53,37 +38,43 @@ let profile ?(input = "") config trace =
     Stream_predictor.create ~stream_list_length:config.stream_list_length
       ~load_length:config.load_length ()
   in
-  let cache = Page_lru.create ~capacity:config.residency_pages in
+  let cache =
+    Page_lru.create ~capacity:config.residency_pages
+      ~pages:trace.Trace.elrange_pages
+  in
   let t =
     {
       workload = trace.Trace.name;
       input;
       config;
-      per_site = Hashtbl.create 64;
+      per_site = Int_table.create ~dummy:{ c1 = 0; c2 = 0; c3 = 0 };
       total_accesses = 0;
     }
   in
   let arena = Workload.Trace_arena.compile trace in
   Workload.Trace_arena.iter arena ~f:(fun ~site ~vpage ~compute:_ ~thread:_ ->
       let counts =
-        match Hashtbl.find_opt t.per_site site with
-        | Some c -> c
-        | None ->
+        let c = Int_table.find t.per_site site in
+        if c != Int_table.dummy t.per_site then c
+        else begin
           let c = { c1 = 0; c2 = 0; c3 = 0 } in
-          Hashtbl.add t.per_site site c;
+          Int_table.set t.per_site site c;
           c
+        end
       in
       t.total_accesses <- t.total_accesses + 1;
-      match classify_one predictor cache ~load_length:config.load_length vpage with
+      match classify_one predictor cache vpage with
       | Class1 -> counts.c1 <- counts.c1 + 1
       | Class2 -> counts.c2 <- counts.c2 + 1
       | Class3 -> counts.c3 <- counts.c3 + 1);
   t
 
-let site_counts t site = Hashtbl.find_opt t.per_site site
+let site_counts t site =
+  let c = Int_table.find t.per_site site in
+  if c == Int_table.dummy t.per_site then None else Some c
 
 let sites t =
-  Hashtbl.fold (fun site counts acc -> (site, counts) :: acc) t.per_site []
+  Int_table.fold (fun site counts acc -> (site, counts) :: acc) t.per_site []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let irregular_ratio c =
@@ -92,7 +83,7 @@ let irregular_ratio c =
 
 let totals t =
   let acc = { c1 = 0; c2 = 0; c3 = 0 } in
-  Hashtbl.iter
+  Int_table.iter
     (fun _ c ->
       acc.c1 <- acc.c1 + c.c1;
       acc.c2 <- acc.c2 + c.c2;

@@ -37,20 +37,25 @@ type t = {
   workload : string;
   input : string;
   config : config;
-  per_site : (int, site_counts) Hashtbl.t;
+  per_site : site_counts Repro_util.Int_table.t;
+      (** Counts by site id; the dummy (all zero) stands for an unseen
+          site. *)
   mutable total_accesses : int;
 }
 
 val profile : ?input:string -> config -> Workload.Trace.t -> t
-(** Replay the trace and classify every access.  [input] labels which
+(** Replay the trace and classify every access.  The residency set
+    spans the trace's ELRANGE, so every page must lie inside it
+    ([Invalid_argument] otherwise).  [input] labels which
     workload input produced the trace (e.g. ["train"]) and is carried
     verbatim into the profile's [input] field; default [""]. *)
 
-val classify_one :
-  Stream_predictor.t -> Page_lru.t -> load_length:int -> int -> access_class
-(** The classification step for a single page access, exposed for tests:
-    checks residency, then stream adjacency, then falls through to
-    Class 3.  Mutates both trackers as the profiling pass would. *)
+val classify_one : Stream_predictor.t -> Page_lru.t -> int -> access_class
+(** The classification step for a single page access, shared with
+    {!Online}: checks residency, then stream cover
+    ({!Stream_predictor.covers}), then falls through to Class 3.  Mutates
+    both trackers as the profiling pass would.  A Class 1 access
+    allocates nothing. *)
 
 val site_counts : t -> int -> site_counts option
 

@@ -170,6 +170,18 @@ let on_fault t npn =
     end
   end
 
+(* Existence needs no MRU order: the live records are pool slots
+   [0, count). *)
+let rec covers_from t page k =
+  k < t.count
+  && (let s = t.pool.(k) in
+      let window = t.load_length in
+      (if s.dir <> 0 then fits s page ~dir:s.dir ~window
+       else fits s page ~dir:1 ~window || fits s page ~dir:(-1) ~window)
+      || covers_from t page (k + 1))
+
+let covers t page = covers_from t page 0
+
 let streams t = List.init t.count (fun k -> t.pool.(t.order.(k)))
 
 let reset t =

@@ -25,7 +25,8 @@
     allocates only its reaction: the predicted pages of an [Extend], and
     the new record of a [New_stream].  Each stream keeps the bounds of
     its pending pages, so the pending scan walks a stream's list only
-    when the faulted page lies between them. *)
+    when the faulted page lies between them.  {!covers}, the classifiers'
+    stream test, reads the same arrays. *)
 
 type stream = private {
   mutable stpn : int;  (** Stream tail page number: the last faulted page. *)
@@ -69,6 +70,13 @@ val on_fault : t -> int -> reaction
 
 val set_pending : stream -> int list -> unit
 (** Replace a stream's pending pages (and their bounds).  O(list). *)
+
+val covers : t -> int -> bool
+(** The §4.4 Class 2 test: does the page lie 1..[load_length] pages
+    past some stream's tail, in the stream's direction (on either side
+    while the direction is undetermined)?  That is the window DFP would
+    have preloaded.  Reads the list without changing it and allocates
+    nothing. *)
 
 val streams : t -> stream list
 (** Current entries, most recently used first (inspection/testing). *)

@@ -1765,9 +1765,10 @@ let print_online settings =
   Table.print t;
   print_string
     "\nThe online rows consume no training trace: the controller starts\n\
-     in baseline mode, classifies sites from the CLOCK scan's harvested\n\
-     access bits, and switches scheme at scan boundaries — DFP when the\n\
-     stream-covered miss share clears its threshold, learned\n\
+     in baseline mode, classifies every access against its own LRU\n\
+     residency proxy (sized to the EPC) and stream predictor, never\n\
+     reading the enclave, and switches scheme at scan boundaries — DFP\n\
+     when the stream-covered miss share clears its threshold, learned\n\
      instrumentation when irregular sites dominate.  On phased programs\n\
      it beats the offline SIP profile (which averages both phases into\n\
      one plan); on single-behaviour programs it pays only its learning\n\

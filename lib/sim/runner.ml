@@ -202,8 +202,8 @@ let make_instance ?epc ?owner ~(spec : Spec.t) ~(trace : Trace.t) scheme =
       in
       let can_sip = Scheme.sip_plan scheme = None in
       let ctl =
-        Preload.Online.create ~config:ocfg ~residency_pages:epc_pages ~can_dfp
-          ~can_sip ()
+        Preload.Online.create ~config:ocfg ~residency_pages:epc_pages
+          ~elrange_pages:trace.Trace.elrange_pages ~can_dfp ~can_sip ()
       in
       Preload.Online.attach ctl enclave;
       Some ctl

@@ -122,6 +122,23 @@ let test_validate_exit_zero_on_clean_run () =
   checki "exit 0" 0 code;
   checkb "reports all invariants hold" true (contains out "all invariants hold")
 
+(* [validate] is the one command that replays with a complete event log,
+   which the scan alignment of the online checks needs. *)
+let test_validate_online () =
+  let code, out, _ =
+    run_cli [ "validate"; "mixed-blood"; "baseline"; "--online"; "--epc"; "1024" ]
+  in
+  checki "exit 0" 0 code;
+  checkb "online label and all invariants hold" true
+    (contains out "baseline+online: all invariants hold");
+  let code, _, err =
+    run_cli
+      [ "validate"; "mixed-blood"; "baseline"; "--online=online:window=0" ]
+  in
+  checki "bad spec: exit 1" 1 code;
+  checkb "bad spec: stderr gives the error" true
+    (contains err "window must be positive")
+
 let test_experiment_keep_going_exit_codes () =
   let args = [ "experiment"; "fig2"; "--quick"; "--keep-going" ] in
   let code, _, _ = run_cli args in
@@ -169,6 +186,7 @@ let () =
           slow "chaos failed cells exit nonzero" test_chaos_failed_cells_exit_nonzero;
           slow "chaos interrupt and resume" test_chaos_interrupt_and_resume;
           slow "validate clean exits 0" test_validate_exit_zero_on_clean_run;
+          slow "validate --online" test_validate_online;
           slow "experiment keep-going exit codes" test_experiment_keep_going_exit_codes;
           slow "service unknown scheme exits 1" test_service_unknown_scheme_exits_1;
           slow "fleet unknown scheme exits 1" test_fleet_unknown_scheme_exits_1;

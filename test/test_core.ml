@@ -220,6 +220,18 @@ module Naive_predictor = struct
 
   let to_front m e = m.entries <- e :: List.filter (fun x -> x != e) m.entries
 
+  (* §4.4's Class 2 test: 1..LOADLENGTH past a tail, in the stream's
+     direction or on either side while it has none. *)
+  let covers m page =
+    List.exists
+      (fun e ->
+        let delta = page - e.stpn in
+        let ahead d = d >= 1 && d <= m.load_length in
+        if e.dir > 0 then ahead delta
+        else if e.dir < 0 then ahead (-delta)
+        else ahead (abs delta))
+      m.entries
+
   let on_fault m npn =
     match List.find_opt (fun e -> List.mem npn e.pending) m.entries with
     | Some e ->
@@ -312,7 +324,11 @@ let predictor_differential =
           SP.set_pending stream pending;
           model_entry.pending <- pending;
           if List.map view (SP.streams p) <> List.map mview m.entries then
-            fail step "streams")
+            fail step "streams";
+          for page = -1 to 86 do
+            if SP.covers p page <> Naive_predictor.covers m page then
+              fail step (Printf.sprintf "covers %d" page)
+          done)
         steps;
       true)
 
@@ -321,7 +337,7 @@ let predictor_differential =
 (* ------------------------------------------------------------------ *)
 
 let test_page_lru_eviction () =
-  let l = Page_lru.create ~capacity:2 in
+  let l = Page_lru.create ~capacity:2 ~pages:8 in
   checkb "miss" false (Page_lru.touch l 1);
   checkb "miss" false (Page_lru.touch l 2);
   checkb "hit" true (Page_lru.touch l 1);
@@ -332,26 +348,98 @@ let test_page_lru_eviction () =
   checki "size" 2 (Page_lru.size l)
 
 let test_page_lru_clear () =
-  let l = Page_lru.create ~capacity:4 in
+  let l = Page_lru.create ~capacity:4 ~pages:8 in
   ignore (Page_lru.touch l 1);
   Page_lru.clear l;
   checki "empty" 0 (Page_lru.size l);
   checkb "gone" false (Page_lru.mem l 1)
+
+let test_page_lru_domain () =
+  let l = Page_lru.create ~capacity:2 ~pages:8 in
+  checkb "last page" false (Page_lru.touch l 7);
+  List.iter
+    (fun page ->
+      Alcotest.check_raises (Printf.sprintf "page %d" page)
+        (Invalid_argument
+           (Printf.sprintf "Page_lru: page %d outside [0, 8)" page))
+        (fun () -> ignore (Page_lru.touch l page)))
+    [ -1; 8 ];
+  Alcotest.check_raises "create"
+    (Invalid_argument "Page_lru.create: pages must be positive") (fun () ->
+      ignore (Page_lru.create ~capacity:1 ~pages:0))
+
+(* The naive reference: the set as a plain MRU-first list, evicting its
+   last element when a touch overfills it. *)
+type lru_op = Touch of int | Mem of int | Clear
+
+let page_lru_differential =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      int_range 1 16 >>= fun cap ->
+      int_range 1 40 >>= fun pages ->
+      let page = int_bound (pages - 1) in
+      list_size (int_range 1 300)
+        (frequency
+           [
+             (12, map (fun p -> Touch p) page);
+             (3, map (fun p -> Mem p) page);
+             (1, pure Clear);
+           ])
+      >|= fun ops -> (cap, pages, ops))
+  in
+  let print (cap, pages, ops) =
+    Printf.sprintf "cap=%d pages=%d ops=[%s]" cap pages
+      (String.concat "; "
+         (List.map
+            (function
+              | Touch p -> Printf.sprintf "touch %d" p
+              | Mem p -> Printf.sprintf "mem %d" p
+              | Clear -> "clear")
+            ops))
+  in
+  Test.make ~name:"touch, mem and size equal a list model" ~count:500 ~print
+    gen (fun (cap, pages, ops) ->
+      let l = Page_lru.create ~capacity:cap ~pages in
+      let model = ref [] in
+      let fail step what =
+        Test.fail_reportf "op %d: %s differs from the model" step what
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Touch p ->
+            let was_in = List.mem p !model in
+            let m = p :: List.filter (fun q -> q <> p) !model in
+            model := List.filteri (fun i _ -> i < cap) m;
+            if Page_lru.touch l p <> was_in then fail step "touch"
+          | Mem p -> if Page_lru.mem l p <> List.mem p !model then fail step "mem"
+          | Clear ->
+            Page_lru.clear l;
+            model := []);
+          for p = 0 to pages - 1 do
+            if Page_lru.mem l p <> List.mem p !model then
+              fail step (Printf.sprintf "mem %d" p)
+          done;
+          if Page_lru.size l <> List.length !model then fail step "size")
+        ops;
+      true)
 
 let page_lru_qcheck =
   [
     QCheck2.Test.make ~name:"size never exceeds capacity" ~count:200
       QCheck2.Gen.(pair (int_range 1 16) (list_size (int_range 1 300) (int_range 0 64)))
       (fun (cap, touches) ->
-        let l = Page_lru.create ~capacity:cap in
+        let l = Page_lru.create ~capacity:cap ~pages:65 in
         List.iter (fun p -> ignore (Page_lru.touch l p)) touches;
         Page_lru.size l <= cap);
     QCheck2.Test.make ~name:"most recent touch is always in" ~count:200
       QCheck2.Gen.(pair (int_range 1 16) (list_size (int_range 1 100) (int_range 0 64)))
       (fun (cap, touches) ->
-        let l = Page_lru.create ~capacity:cap in
+        let l = Page_lru.create ~capacity:cap ~pages:65 in
         List.iter (fun p -> ignore (Page_lru.touch l p)) touches;
         match List.rev touches with [] -> true | last :: _ -> Page_lru.mem l last);
+    page_lru_differential;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -438,8 +526,8 @@ let test_profiler_records_input () =
 
 let test_classify_one_steps () =
   let predictor = predictor ~len:4 () in
-  let cache = Page_lru.create ~capacity:8 in
-  let cls = Profiler.classify_one predictor cache ~load_length:4 in
+  let cache = Page_lru.create ~capacity:8 ~pages:64 in
+  let cls = Profiler.classify_one predictor cache in
   checkb "first sight irregular" true (cls 10 = Profiler.Class3);
   checkb "revisit is class1" true (cls 10 = Profiler.Class1);
   checkb "next page is class2" true (cls 11 = Profiler.Class2);
@@ -455,13 +543,13 @@ let mk_profile specs =
       Profiler.workload = "synthetic";
       input = "train";
       config = { Profiler.stream_list_length = 8; load_length = 4; residency_pages = 8 };
-      per_site = Hashtbl.create 8;
+      per_site = Repro_util.Int_table.create ~dummy:{ Profiler.c1 = 0; c2 = 0; c3 = 0 };
       total_accesses = 0;
     }
   in
   List.iter
     (fun (site, c1, c2, c3) ->
-      Hashtbl.add t.Profiler.per_site site { Profiler.c1; c2; c3 };
+      Repro_util.Int_table.set t.Profiler.per_site site { Profiler.c1; c2; c3 };
       t.total_accesses <- t.total_accesses + c1 + c2 + c3)
     specs;
   t
@@ -479,17 +567,42 @@ let test_instrumenter_threshold_boundary () =
   let plan = Instrumenter.plan_of_profile ~threshold:0.05 profile in
   checki "boundary included" 1 (Instrumenter.instrumentation_points plan)
 
-let test_instrumenter_predicate_matches_list () =
-  let profile = mk_profile [ (3, 0, 0, 10); (7, 10, 0, 0); (9, 5, 0, 5) ] in
-  let plan = Instrumenter.plan_of_profile profile in
-  let pred = Instrumenter.site_predicate plan in
-  List.iter
-    (fun site ->
-      checkb
-        (Printf.sprintf "site %d" site)
-        (Instrumenter.is_instrumented plan site)
-        (pred site))
-    [ 0; 3; 7; 9 ]
+(* Random plans over small, negative and large site ids (either side of
+   the site table's dense range), the empty plan among them; every site
+   in [min - 2, max + 2] is probed. *)
+let instrumenter_predicate_matches_list =
+  let open QCheck2 in
+  let site =
+    Gen.(
+      frequency
+        [ (6, int_range 0 64); (2, int_range (-70) (-1)); (2, int_range 4000 4200) ])
+  in
+  let gen = Gen.(list_size (int_range 0 24) (pair site bool)) in
+  let print ds =
+    String.concat "; "
+      (List.map (fun (s, i) -> Printf.sprintf "%d:%b" s i) ds)
+  in
+  Test.make ~name:"predicate matches list" ~count:300 ~print gen (fun ds ->
+      let decisions =
+        List.sort_uniq (fun (a, _) (b, _) -> compare a b) ds
+        |> List.map (fun (site, instrument) ->
+               {
+                 Instrumenter.site;
+                 counts = { Profiler.c1 = 0; c2 = 0; c3 = 0 };
+                 ratio = 0.0;
+                 instrument;
+               })
+      in
+      let plan = { Instrumenter.workload = "w"; threshold = 0.05; decisions } in
+      let pred = Instrumenter.site_predicate plan in
+      let sites = List.map fst ds in
+      let lo = List.fold_left min 0 sites - 2
+      and hi = List.fold_left max 0 sites + 2 in
+      for s = lo to hi do
+        if pred s <> Instrumenter.is_instrumented plan s then
+          Test.fail_reportf "site %d: predicate %b" s (pred s)
+      done;
+      true)
 
 let test_instrumenter_empty_plan () =
   let plan = Instrumenter.empty_plan ~workload:"x" in
@@ -1001,7 +1114,11 @@ let () =
         ]
         @ props (predictor_qcheck @ [ predictor_differential ]) );
       ( "page_lru",
-        [ tc "eviction" test_page_lru_eviction; tc "clear" test_page_lru_clear ]
+        [
+          tc "eviction" test_page_lru_eviction;
+          tc "clear" test_page_lru_clear;
+          tc "page domain" test_page_lru_domain;
+        ]
         @ props page_lru_qcheck );
       ( "sip_profiler",
         [
@@ -1016,10 +1133,10 @@ let () =
         [
           tc "threshold" test_instrumenter_threshold;
           tc "threshold boundary" test_instrumenter_threshold_boundary;
-          tc "predicate matches list" test_instrumenter_predicate_matches_list;
           tc "empty plan" test_instrumenter_empty_plan;
           tc "paper threshold" test_default_threshold_is_paper;
-        ] );
+        ]
+        @ props [ instrumenter_predicate_matches_list ] );
       ( "plan_io",
         [
           tc "round trip" test_plan_io_roundtrip;

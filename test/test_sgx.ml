@@ -1,7 +1,7 @@
 (* Unit tests for the sgxsim substrate (everything below the Enclave
    facade; the facade has its own suite in test_enclave.ml), plus the
    allocation contracts of the per-access path, which run through the
-   facade. *)
+   facade, and of the §4.4 classifier that observes it. *)
 
 module Cost_model = Sgxsim.Cost_model
 module Page_table = Sgxsim.Page_table
@@ -884,6 +884,54 @@ let test_alloc_demand_fault () =
   checkb "and evicted" true (m.evictions >= n);
   check_words "demand fault" ~at_most:10.0 words
 
+let test_alloc_lru_touch_resident () =
+  let l = Preload.Page_lru.create ~capacity:8 ~pages:1024 in
+  List.iter (fun p -> ignore (Preload.Page_lru.touch l p)) [ 1; 2; 3 ];
+  (* Alternate, so each touch moves a page that is not the head. *)
+  let next = ref 1 in
+  sink := 0;
+  let words =
+    words_per_call 10_000 (fun () ->
+        next := 3 - !next;
+        if Preload.Page_lru.touch l !next then incr sink)
+  in
+  checki "every touch hit" 10_000 !sink;
+  check_words "Page_lru.touch of a resident page" ~at_most:0.01 words
+
+let test_alloc_lru_touch_evicting () =
+  (* 100 pages cycled through 8 slots: every touch inserts and evicts. *)
+  let l = Preload.Page_lru.create ~capacity:8 ~pages:100 in
+  let next = ref 0 in
+  let touch () =
+    if Preload.Page_lru.touch l !next then incr sink;
+    next := (!next + 1) mod 100
+  in
+  for _ = 1 to 100 do
+    touch ()
+  done;
+  sink := 0;
+  let words = words_per_call 10_000 touch in
+  checki "every touch missed" 0 !sink;
+  checki "at capacity" 8 (Preload.Page_lru.size l);
+  check_words "Page_lru.touch of a new page at capacity" ~at_most:0.01 words
+
+let test_alloc_online_observe_resident () =
+  let ctl =
+    Preload.Online.create ~residency_pages:64 ~elrange_pages:1024 ()
+  in
+  let step = ref 0 in
+  let observe () =
+    incr step;
+    Preload.Online.observe ctl ~site:(!step land 7) ~vpage:(!step land 31)
+  in
+  (* Warm-up: every site seen, every page resident. *)
+  for _ = 1 to 64 do
+    observe ()
+  done;
+  let words = words_per_call 10_000 observe in
+  checki "observed" 10_064 (Preload.Online.observed ctl);
+  check_words "Online.observe of resident pages" ~at_most:0.01 words
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -944,6 +992,12 @@ let () =
           tc "channel head probe allocates nothing" test_alloc_channel_head_probe;
           tc "resident access allocates nothing" test_alloc_resident_access;
           tc "demand fault allocates at most 10 words" test_alloc_demand_fault;
+          tc "LRU touch of a resident page allocates nothing"
+            test_alloc_lru_touch_resident;
+          tc "LRU touch that evicts allocates nothing"
+            test_alloc_lru_touch_evicting;
+          tc "online observe of resident pages allocates nothing"
+            test_alloc_online_observe_resident;
         ] );
       ( "metrics_event",
         [

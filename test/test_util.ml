@@ -731,6 +731,69 @@ let lru_qcheck =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Int_table                                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Int_table = Repro_util.Int_table
+
+let test_int_table_basics () =
+  let t = Int_table.create ~dummy:"" in
+  check Alcotest.string "unbound is the dummy" "" (Int_table.find t 3);
+  List.iter
+    (fun (k, v) -> Int_table.set t k v)
+    [ (3, "a"); (-5, "b"); (1 lsl 40, "c"); (4095, "d"); (4096, "e"); (3, "f") ];
+  checki "one binding per key" 5 (Int_table.fold (fun _ _ n -> n + 1) t 0);
+  check Alcotest.(list (pair int string)) "iter: dense ascending first"
+    [ (3, "f"); (4095, "d") ]
+    (List.filteri (fun i _ -> i < 2)
+       (List.rev (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])));
+  check Alcotest.string "negative" "b" (Int_table.find t (-5));
+  check Alcotest.string "large" "c" (Int_table.find t (1 lsl 40));
+  check Alcotest.string "past the dense range" "e" (Int_table.find t 4096);
+  check Alcotest.string "min_int unbound" "" (Int_table.find t min_int);
+  Alcotest.check_raises "the dummy cannot be bound"
+    (Invalid_argument "Int_table.set: value is the dummy") (fun () ->
+      Int_table.set t 7 (Int_table.dummy t))
+
+let int_table_qcheck =
+  [
+    QCheck2.Test.make ~name:"int table agrees with a Hashtbl model"
+      ~count:300
+      QCheck2.Gen.(
+        list_size (int_range 0 60)
+          (pair
+             (frequency
+                [
+                  (6, int_range 0 100);
+                  (2, int_range (-50) (-1));
+                  (2, int_range 4090 5000);
+                  (1, int);
+                ])
+             (int_range 0 1000)))
+      (fun sets ->
+        let t = Int_table.create ~dummy:(-1) in
+        let model = Hashtbl.create 16 in
+        List.for_all
+          (fun (k, v) ->
+            Int_table.set t k v;
+            Hashtbl.replace model k v;
+            (* Every key ever set, and its neighbours, reads as the
+               model does; the bindings are the model's. *)
+            List.for_all
+              (fun (k', _) ->
+                List.for_all
+                  (fun probe ->
+                    Int_table.find t probe
+                    = Option.value ~default:(-1) (Hashtbl.find_opt model probe))
+                  [ k'; k' + 1; k' - 1 ])
+              sets
+            && List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+               = List.sort compare
+                   (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+          sets);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -818,6 +881,8 @@ let () =
           tc "growth wraps" test_deque_growth_wraps;
         ]
         @ props deque_qcheck );
+      ( "int_table",
+        [ tc "basics" test_int_table_basics ] @ props int_table_qcheck );
       ( "ring",
         [
           tc "basics" test_ring_basics;
