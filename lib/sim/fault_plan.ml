@@ -114,16 +114,22 @@ let crash_fires t ~instance ~window =
 (* ELDU latency under a contended paging channel: in each jitter window,
    with probability [stall_chance] the channel is stalled and the whole
    load (including any write-back it triggered) takes a multiplier in
-   [1, max_multiplier].  Never shortens a load. *)
+   [1, max_multiplier].  Never shortens a load.  [stall_multiplier] is
+   the window's one draw, 0.0 for a window that does not stall. *)
+let stall_multiplier t c ~window =
+  let rng = draw t ~window ~salt:salt_channel in
+  if Prng.chance rng c.stall_chance then
+    1.0 +. Prng.float rng (c.max_multiplier -. 1.0)
+  else 0.0
+
+let stretch base m =
+  if m > 0.0 then Int.max base (int_of_float (Float.ceil (float_of_int base *. m)))
+  else base
+
 let perturb_load_duration t ~at base =
   match t.channel with
   | None -> base
-  | Some c ->
-    let rng = draw t ~window:(at / c.jitter_period) ~salt:salt_channel in
-    if Prng.chance rng c.stall_chance then
-      let m = 1.0 +. Prng.float rng (c.max_multiplier -. 1.0) in
-      max base (int_of_float (Float.ceil (float_of_int base *. m)))
-    else base
+  | Some c -> stretch base (stall_multiplier t c ~window:(at / c.jitter_period))
 
 (* EPC frames left to this enclave once the co-tenant has taken its
    time-varying slice.  Always at least one frame — an enclave with zero
@@ -138,25 +144,85 @@ let epc_budget t ~at ~capacity =
     in
     max 1 (capacity - stolen)
 
-(* Corrupted / truncated trace input.  Draws are keyed by event index,
-   so the returned Seq is re-entrant exactly like [Trace.events]: forcing
-   it twice yields identical streams. *)
+(* The samplers answer the two hooks above per load and per sync, where
+   a fresh [Prng] per call would be the whole cost of a resident access
+   under a co-tenant.  Each caches its current window's draw and redraws
+   only when the window (or, for the budget, the capacity) changes, so a
+   call in a known window allocates nothing.  Per instance: nothing is
+   shared between the enclaves that install them. *)
+type budget_cache = {
+  mutable b_window : int;
+  mutable b_capacity : int;
+  mutable b_budget : int;
+}
+
+let budget_sampler t =
+  match t.co_tenant with
+  | None -> None
+  | Some c ->
+    let s = { b_window = min_int; b_capacity = -1; b_budget = 0 } in
+    Some
+      (fun ~at capacity ->
+        let w = at / c.steal_period in
+        if w <> s.b_window || capacity <> s.b_capacity then begin
+          s.b_window <- w;
+          s.b_capacity <- capacity;
+          s.b_budget <- epc_budget t ~at ~capacity
+        end;
+        s.b_budget)
+
+let jitter_sampler t =
+  match t.channel with
+  | None -> None
+  | Some c ->
+    let window = ref min_int and m = ref 0.0 in
+    Some
+      (fun ~at base ->
+        let w = at / c.jitter_period in
+        if w <> !window then begin
+          window := w;
+          m := stall_multiplier t c ~window:w
+        end;
+        stretch base !m)
+
+(* Corrupted / truncated trace input.  Event [i]'s draw is keyed by its
+   index, so the returned Seq is re-entrant exactly like [Trace.events]:
+   forcing it twice yields identical streams. *)
+let corrupt_vpage t f ~elrange_pages i vpage =
+  if f.corrupt_chance <= 0.0 then vpage
+  else
+    let rng = draw t ~window:i ~salt:salt_trace in
+    if Prng.chance rng f.corrupt_chance then Prng.int rng elrange_pages
+    else vpage
+
 let perturb_trace t ~elrange_pages (seq : Access.t Seq.t) : Access.t Seq.t =
   match t.trace with
   | None -> seq
   | Some f ->
     let corrupt i (a : Access.t) =
-      if f.corrupt_chance <= 0.0 then a
-      else
-        let rng = draw t ~window:i ~salt:salt_trace in
-        if Prng.chance rng f.corrupt_chance then
-          { a with vpage = Prng.int rng elrange_pages }
-        else a
+      let vpage = corrupt_vpage t f ~elrange_pages i a.vpage in
+      if vpage = a.vpage then a else { a with vpage }
     in
     let indexed = Seq.mapi corrupt seq in
     (match f.truncate_after with
     | None -> indexed
     | Some n -> Seq.take n indexed)
+
+(* The same stream as [perturb_trace], compiled once per (base arena,
+   plan trace fault, ELRANGE) into a derived arena that replays like any
+   other.  The tag names everything the draws depend on. *)
+let perturb_arena t ~elrange_pages arena =
+  match t.trace with
+  | None -> arena
+  | Some f ->
+    let tag =
+      Printf.sprintf "perturb:%d:%h:%s:%d" t.seed f.corrupt_chance
+        (match f.truncate_after with None -> "-" | Some n -> string_of_int n)
+        elrange_pages
+    in
+    Workload.Trace_arena.derive arena ~tag
+      ~length:(Option.value f.truncate_after ~default:max_int)
+      ~vpage:(corrupt_vpage t f ~elrange_pages)
 
 (* A stale SIP plan: the profile came from a mismatched build, so the
    site ids no longer line up with the running binary.  Modelled by

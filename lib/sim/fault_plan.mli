@@ -78,16 +78,45 @@ val validate : t -> t
 val perturb_load_duration : t -> at:int -> int -> int
 (** [perturb_load_duration t ~at base] is the faulted duration of a load
     starting at cycle [at] whose clean duration is [base].  Always
-    [>= base]; identity without a channel fault. *)
+    [>= base]; identity without a channel fault.  The reference for
+    {!jitter_sampler}. *)
 
 val epc_budget : t -> at:int -> capacity:int -> int
 (** Frames available to this enclave at cycle [at]; in [[1, capacity]],
-    and [capacity] without a co-tenant. *)
+    and [capacity] without a co-tenant.  The reference for
+    {!budget_sampler}. *)
+
+val jitter_sampler : t -> (at:int -> int -> int) option
+(** A fresh per-instance {!perturb_load_duration}: [Some f] with
+    [f ~at base = perturb_load_duration t ~at base] for every call, or
+    [None] without a channel fault.  [f] caches its jitter window's
+    stall verdict and multiplier and draws again only when the window
+    changes, so a call in the cached window allocates nothing.  Shaped
+    for {!Sgxsim.Enclave.set_load_perturb}. *)
+
+val budget_sampler : t -> (at:int -> int -> int) option
+(** A fresh per-instance {!epc_budget}: [Some f] with
+    [f ~at capacity = epc_budget t ~at ~capacity] for every call, or
+    [None] without a co-tenant.  [f] caches its last (steal window,
+    capacity) pair and draws again only when either changes.  Shaped
+    for {!Sgxsim.Enclave.set_epc_budget}. *)
 
 val perturb_trace :
   t -> elrange_pages:int -> Workload.Access.t Seq.t -> Workload.Access.t Seq.t
 (** Corrupt/truncate an access stream.  Draws are keyed by event index,
-    so the result is re-entrant exactly like [Trace.events]. *)
+    so the result is re-entrant exactly like [Trace.events].  The
+    reference for {!perturb_arena}; replays do not use it. *)
+
+val perturb_arena :
+  t -> elrange_pages:int -> Workload.Trace_arena.t -> Workload.Trace_arena.t
+(** [perturb_arena t ~elrange_pages a] is the arena of
+    [perturb_trace t ~elrange_pages (Trace_arena.to_seq a)], built with
+    the same index-keyed draws by {!Workload.Trace_arena.derive}: it
+    shares [a]'s site, compute and thread columns and owns a corrupted
+    vpage column.  Memoised per base arena under the plan's seed,
+    corrupt chance, truncation and [elrange_pages], so every replay of
+    the same trace under the same trace fault replays one arena.
+    Returns [a] itself when the plan has no trace fault. *)
 
 val scramble_plan : t -> Preload.Sip_instrumenter.plan -> Preload.Sip_instrumenter.plan
 (** Permute which sites carry the plan's decisions when

@@ -5,7 +5,6 @@ module Metrics = Sgxsim.Metrics
 module Arbiter = Sgxsim.Load_channel.Arbiter
 module Trace = Workload.Trace
 module Trace_arena = Workload.Trace_arena
-module Access = Workload.Access
 module Scheme = Preload.Scheme
 module Table = Repro_util.Table
 
@@ -61,7 +60,9 @@ type outcome = {
 }
 
 (* One tenant's position in the interleaved replay: its runner instance
-   plus a cursor over its (possibly plan-perturbed) access stream. *)
+   plus a cursor over its arena — the plan-perturbed derivation when the
+   plan corrupts or truncates the stream, whose index-keyed draws make it
+   exactly what the tenant's solo run replays. *)
 type feed = {
   inst : Runner.instance;
   spec : Runner.Spec.t;
@@ -69,9 +70,6 @@ type feed = {
          size, so each carries the spec it was built under into
          [finalize]. *)
   arena : Trace_arena.t;
-  events : Access.t array option;
-      (* Materialised per tenant when the plan corrupts/truncates the
-         stream; [None] replays straight off the arena columns. *)
   len : int;
   mutable idx : int;
 }
@@ -115,25 +113,12 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
         let inst =
           Runner.make_instance ?epc:pool ~owner:i ~spec ~trace:t.trace t.scheme
         in
-        let arena = Trace_arena.compile t.trace in
-        let events =
-          match fault_plan.Fault_plan.trace with
-          | None -> None
-          | Some _ ->
-            (* Draws are keyed by event index, so each tenant's stream is
-               exactly what its solo run would have consumed. *)
-            Some
-              (Array.of_seq
-                 (Fault_plan.perturb_trace fault_plan
-                    ~elrange_pages:t.trace.Trace.elrange_pages
-                    (Trace_arena.to_seq arena)))
+        let arena =
+          Fault_plan.perturb_arena fault_plan
+            ~elrange_pages:t.trace.Trace.elrange_pages
+            (Trace_arena.compile t.trace)
         in
-        let len =
-          match events with
-          | Some evs -> Array.length evs
-          | None -> Trace_arena.length arena
-        in
-        { inst; spec; arena; events; len; idx = 0 })
+        { inst; spec; arena; len = Trace_arena.length arena; idx = 0 })
       tenants
   in
   let enclaves = Array.map (fun f -> f.inst.Runner.enclave) feeds in
@@ -151,12 +136,12 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
           triggered.(aggressor) <- triggered.(aggressor) + 1))
     enclaves;
   (* One paging channel arbiter across the fleet (the EPC partitioning
-     knob does not split the bus).  Installed over the plan's jitter:
-     first the plan stretches the load, then contention queues it.  For
-     a single tenant the arbiter is the identity — its own channel
-     already serialises loads, so every request arrives at or after
-     [free_at] and waits zero — which is what keeps a fleet of one
-     byte-identical to [Runner.run]. *)
+     knob does not split the bus).  Chained after the plan's jitter
+     sampler, one per tenant: first the plan stretches the load, then
+     contention queues it.  For a single tenant the arbiter is the
+     identity — its own channel already serialises loads, so every
+     request arrives at or after [free_at] and waits zero — which is
+     what keeps a fleet of one byte-identical to [Runner.run]. *)
   let arb =
     Arbiter.create
       ~priorities:(Array.map (fun t -> t.priority) tenants)
@@ -167,13 +152,11 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
       match f.inst.Runner.i_scheme with
       | Scheme.Native -> ()
       | _ ->
-        Enclave.set_load_perturb f.inst.Runner.enclave (fun ~at base ->
-            let d =
-              if fault_plan.Fault_plan.channel <> None then
-                Fault_plan.perturb_load_duration fault_plan ~at base
-              else base
-            in
-            Arbiter.request arb ~owner:i ~at d))
+        Enclave.set_load_perturb f.inst.Runner.enclave
+          (match Fault_plan.jitter_sampler fault_plan with
+          | None -> fun ~at base -> Arbiter.request arb ~owner:i ~at base
+          | Some jitter ->
+            fun ~at base -> Arbiter.request arb ~owner:i ~at (jitter ~at base)))
     feeds;
   (* Interleave by virtual time: always advance the tenant whose private
      clock is furthest behind (ties broken by lowest index), one trace
@@ -193,17 +176,11 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
       then best := i
     done;
     let f = feeds.(!best) in
-    (match f.events with
-    | None ->
-      Runner.step f.inst
-        ~site:(Trace_arena.site f.arena f.idx)
-        ~vpage:(Trace_arena.vpage f.arena f.idx)
-        ~compute:(Trace_arena.compute f.arena f.idx)
-        ~thread:(Trace_arena.thread f.arena f.idx)
-    | Some evs ->
-      let a = evs.(f.idx) in
-      Runner.step f.inst ~site:a.Access.site ~vpage:a.Access.vpage
-        ~compute:a.Access.compute ~thread:a.Access.thread);
+    Runner.step f.inst
+      ~site:(Trace_arena.site f.arena f.idx)
+      ~vpage:(Trace_arena.vpage f.arena f.idx)
+      ~compute:(Trace_arena.compute f.arena f.idx)
+      ~thread:(Trace_arena.thread f.arena f.idx);
     f.idx <- f.idx + 1;
     if f.idx >= f.len then decr live
   done;

@@ -3,7 +3,6 @@ module Cost_model = Sgxsim.Cost_model
 module Metrics = Sgxsim.Metrics
 module Event = Sgxsim.Event
 module Trace = Workload.Trace
-module Access = Workload.Access
 module Scheme = Preload.Scheme
 module Breaker = Preload.Breaker
 module Histogram = Repro_util.Histogram
@@ -153,20 +152,19 @@ let make_instance ?epc ?owner ~(spec : Spec.t) ~(trace : Trace.t) scheme =
       ~elrange_pages:trace.Trace.elrange_pages ()
   in
   (* Install fault hooks only when the respective fault is present, so a
-     fault-free run is the exact pre-fault-plan simulation.  Native runs
-     outside the enclave entirely: there is no EPC for a co-tenant to
-     squeeze and no load channel for jitter to stretch, so neither hook
-     applies (installing them was a bug — it made the native yardstick
-     drift with the fault plan). *)
+     fault-free run is the exact pre-fault-plan simulation.  Each hook is
+     the instance's own sampler, which draws once per time window.
+     Native runs outside the enclave entirely: there is no EPC for a
+     co-tenant to squeeze and no load channel for jitter to stretch, so
+     neither hook applies (installing them was a bug — it made the
+     native yardstick drift with the fault plan). *)
   (match scheme with
   | Scheme.Native -> ()
   | _ ->
-    if fault_plan.Fault_plan.channel <> None then
-      Enclave.set_load_perturb enclave (fun ~at base ->
-          Fault_plan.perturb_load_duration fault_plan ~at base);
-    if fault_plan.Fault_plan.co_tenant <> None then
-      Enclave.set_epc_budget enclave (fun ~at capacity ->
-          Fault_plan.epc_budget fault_plan ~at ~capacity));
+    Option.iter (Enclave.set_load_perturb enclave)
+      (Fault_plan.jitter_sampler fault_plan);
+    Option.iter (Enclave.set_epc_budget enclave)
+      (Fault_plan.budget_sampler fault_plan));
   let dfp =
     match scheme with
     | Scheme.Dfp dfp_config | Scheme.Hybrid (dfp_config, _) ->
@@ -402,56 +400,41 @@ let step inst ~site ~vpage ~compute ~thread =
   inst.now <- t
 
 let run_fused ?(spec = Spec.default) ~schemes trace =
-  let fault_plan = spec.Spec.fault_plan in
   let instances =
     Array.of_list (List.map (make_instance ~spec ~trace) schemes)
   in
   let n = Array.length instances in
-  (* Replay from the compiled arena, fanning each access out to every
-     instance.  Instances advance their private clocks independently and
-     share nothing mutable, so ANY replay interleaving produces, per
-     instance, the exact event sequence a solo pass would — the trace is
-     decoded once instead of [n] times.  The fan-out is chunked, not
-     per-event: each instance replays a cache-sized block of the packed
-     columns before the next instance takes the same block.  Per-event
+  (* Replay from the compiled arena — under a trace-corrupting plan, its
+     perturbed derivation — fanning each access out to every instance.
+     Instances advance their private clocks independently and share
+     nothing mutable, so ANY replay interleaving produces, per instance,
+     the exact event sequence a solo pass would — the trace is decoded
+     once instead of [n] times.  The fan-out is chunked, not per-event:
+     each instance replays a cache-sized block of the packed columns
+     before the next instance takes the same block.  Per-event
      round-robin would drag [n] enclaves' page tables through the cache
      between consecutive accesses of each one; per-block, an instance's
      working set stays hot for the whole block and the block's columns
      (four int columns, ~2 MB at this size) stay hot across the [n]
-     replays of it.  Only a plan that corrupts/truncates the stream
-     itself needs the [Seq] view, which is one-shot and therefore fans
-     out per event; [perturb_trace] draws are keyed by event index, so
-     the one shared perturbed stream is identical to the stream each
-     solo run would have drawn. *)
-  let arena = Workload.Trace_arena.compile trace in
-  (match fault_plan.Fault_plan.trace with
-  | None ->
-    let block = 16384 in
-    let len = Workload.Trace_arena.length arena in
-    let lo = ref 0 in
-    while !lo < len do
-      let hi = min len (!lo + block) in
-      for i = 0 to n - 1 do
-        let inst = instances.(i) in
-        Workload.Trace_arena.iter_range arena ~lo:!lo ~hi
-          ~f:(fun ~site ~vpage ~compute ~thread ->
-            step inst ~site ~vpage ~compute ~thread)
-      done;
-      lo := hi
-    done
-  | Some _ ->
-    let step_all ~site ~vpage ~compute ~thread =
-      for i = 0 to n - 1 do
-        step instances.(i) ~site ~vpage ~compute ~thread
-      done
-    in
-    Seq.iter
-      (fun (a : Access.t) ->
-        step_all ~site:a.site ~vpage:a.vpage ~compute:a.compute
-          ~thread:a.thread)
-      (Fault_plan.perturb_trace fault_plan
-         ~elrange_pages:trace.Trace.elrange_pages
-         (Workload.Trace_arena.to_seq arena)));
+     replays of it. *)
+  let arena =
+    Fault_plan.perturb_arena spec.Spec.fault_plan
+      ~elrange_pages:trace.Trace.elrange_pages
+      (Workload.Trace_arena.compile trace)
+  in
+  let block = 16384 in
+  let len = Workload.Trace_arena.length arena in
+  let lo = ref 0 in
+  while !lo < len do
+    let hi = min len (!lo + block) in
+    for i = 0 to n - 1 do
+      let inst = instances.(i) in
+      Workload.Trace_arena.iter_range arena ~lo:!lo ~hi
+        ~f:(fun ~site ~vpage ~compute ~thread ->
+          step inst ~site ~vpage ~compute ~thread)
+    done;
+    lo := hi
+  done;
   List.map (finalize ~spec ~trace) (Array.to_list instances)
 
 let run ?spec ~scheme trace =

@@ -146,8 +146,9 @@ val run : ?spec:Spec.t -> scheme:Preload.Scheme.t -> Workload.Trace.t -> result
     it (there is no enclave to perturb), so Native cycles are invariant
     across fault plans up to trace corruption.  The spec's fault plan
     perturbs the run at the plan's injection points; a stale plan
-    scrambles the SIP plan before attachment, and corrupted traces are
-    corrupted identically on every replay (the draws are seeded by event
+    scrambles the SIP plan before attachment, and a corrupted trace
+    replays its {!Fault_plan.perturb_arena}, derived once per process
+    and identical on every replay (the draws are seeded by event
     index). *)
 
 val run_fused :
@@ -158,11 +159,10 @@ val run_fused :
     [schemes] order and are field-for-field identical to
     [List.map (fun s -> run ~scheme:s trace) schemes]: instances share
     nothing mutable, each advances its own clock, and under a
-    trace-corrupting plan all instances consume the same perturbed
-    stream each solo run would have drawn (draws are keyed by event
-    index).  The win is wall-clock: the arena is decoded and iterated
-    once per trace instead of once per cell.  [run] is the singleton
-    case. *)
+    trace-corrupting plan all instances replay the one perturbed arena
+    each solo run would have replayed.  The win is wall-clock: the arena
+    is decoded and iterated once per trace instead of once per cell.
+    [run] is the singleton case. *)
 
 (** {1 Single-instance machinery}
 
@@ -207,8 +207,9 @@ val make_instance :
   Preload.Scheme.t ->
   instance
 (** Build a ready-to-step instance under [spec]: scrambles a stale SIP
-    plan, creates the enclave, installs fault-plan hooks (non-Native
-    only), attaches the preloader, the optional online controller (on
+    plan, creates the enclave, installs the plan's per-instance
+    channel-jitter and EPC-budget samplers (non-Native only), attaches
+    the preloader, the optional online controller (on
     the actuation slots the scheme left free), the optional circuit
     breaker (chained after everything; never on Native) and the latency
     histograms.  A fleet passes the shared [epc] pool and per-tenant

@@ -5,7 +5,6 @@ module Cost_model = Sgxsim.Cost_model
 module Metrics = Sgxsim.Metrics
 module Trace = Workload.Trace
 module Trace_arena = Workload.Trace_arena
-module Access = Workload.Access
 module Scheme = Preload.Scheme
 
 type arrival_process =
@@ -235,41 +234,19 @@ type outcome = {
   results : Runner.result list;
 }
 
-(* The per-request event source: the (possibly perturbed) compiled
-   stream, sliced by index with wrap-around.  A trace-corrupting plan
-   materialises the perturbed stream once — draws are keyed by event
-   index, so every scheme cell consumes identical corruption. *)
-let event_source fault_plan trace =
-  let arena = Trace_arena.compile trace in
-  match fault_plan.Fault_plan.trace with
-  | None ->
-    let len = Trace_arena.length arena in
-    let get i =
-      ( Trace_arena.site arena i,
-        Trace_arena.vpage arena i,
-        Trace_arena.compute arena i,
-        Trace_arena.thread arena i )
-    in
-    (len, get)
-  | Some _ ->
-    let arr =
-      Array.of_seq
-        (Fault_plan.perturb_trace fault_plan
-           ~elrange_pages:trace.Trace.elrange_pages
-           (Trace_arena.to_seq arena))
-    in
-    let get i =
-      let a = arr.(i) in
-      (a.Access.site, a.Access.vpage, a.Access.compute, a.Access.thread)
-    in
-    (Array.length arr, get)
-
 let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
     ?(input_label = "") ~scheme trace =
   let c = validate_config config in
   let z = c.resilience in
   let arrivals = arrival_times c in
-  let len, event = event_source fault_plan trace in
+  (* Requests slice the (possibly plan-perturbed) compiled stream by
+     index, with wrap-around.  The perturbed arena is derived once per
+     process, so every scheme cell replays identical corruption. *)
+  let arena =
+    Fault_plan.perturb_arena fault_plan
+      ~elrange_pages:trace.Trace.elrange_pages (Trace_arena.compile trace)
+  in
+  let len = Trace_arena.length arena in
   let spec =
     Runner.Spec.make
       ~config:
@@ -332,8 +309,11 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
     let before = inst.Runner.now in
     if len > 0 then
       for j = 0 to c.request_events - 1 do
-        let site, vpage, compute, thread = event ((offset + j) mod len) in
-        Runner.step inst ~site ~vpage ~compute ~thread
+        let e = (offset + j) mod len in
+        Runner.step inst ~site:(Trace_arena.site arena e)
+          ~vpage:(Trace_arena.vpage arena e)
+          ~compute:(Trace_arena.compute arena e)
+          ~thread:(Trace_arena.thread arena e)
       done;
     let service = inst.Runner.now - before in
     let finish = start + transition + service in

@@ -147,8 +147,9 @@ val run :
     [scheme].  Request [k] replays [request_events] events starting at
     index [k * request_events mod length], wrapping; its latency is
     queueing + transition + the instance-clock delta of its steps.
-    Under a trace-corrupting [fault_plan] all schemes consume the same
-    perturbed stream (draws keyed by event index); channel/EPC faults
+    Under a trace-corrupting [fault_plan] all schemes replay the same
+    {!Fault_plan.perturb_arena} (draws keyed by event index, derived
+    once per process); channel/EPC faults
     apply inside each instance as in any chaos run, surfacing as
     degraded-mode tails.
 

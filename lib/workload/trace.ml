@@ -10,11 +10,21 @@ type t = {
   pattern : Pattern.t;
   sites : (int * string) list;
   mutable stats : stats option;
+  mutable arena_key : string option;
 }
 
 let make ~name ~elrange_pages ~footprint_pages ~seed ~sites pattern =
   if elrange_pages <= 0 then invalid_arg "Trace.make: elrange must be positive";
-  { name; elrange_pages; footprint_pages; seed; pattern; sites; stats = None }
+  {
+    name;
+    elrange_pages;
+    footprint_pages;
+    seed;
+    pattern;
+    sites;
+    stats = None;
+    arena_key = None;
+  }
 
 let events t = Pattern.run t.pattern (Prng.create t.seed)
 
@@ -25,6 +35,9 @@ let site_name t site =
 
 let note_stats t ~length ~distinct_pages =
   if t.stats = None then t.stats <- Some { length; distinct_pages }
+
+let note_arena_key t key =
+  if t.arena_key = None then t.arena_key <- Some key
 
 (* Both statistics come out of one replay, and [Trace_arena.compile]
    deposits them as a side effect of packing, so a trace that has been

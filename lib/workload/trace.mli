@@ -22,6 +22,11 @@ type t = {
   mutable stats : stats option;
       (** Memoised {!stats}; not part of the trace's identity.  Filled
           through {!note_stats}, never written directly. *)
+  mutable arena_key : string option;
+      (** The {!Trace_arena} memo key this value compiled under, so a
+          repeated compile of the same value skips the stream
+          fingerprint.  Not part of the trace's identity.  Filled
+          through {!note_arena_key}, never written directly. *)
 }
 
 val make :
@@ -41,6 +46,10 @@ val note_stats : t -> length:int -> distinct_pages:int -> unit
 (** Deposit whole-stream statistics computed elsewhere (the arena
     compiler calls this while packing).  First writer wins; the values
     are a pure function of the trace, so any writer agrees. *)
+
+val note_arena_key : t -> string -> unit
+(** Record the arena memo key computed at this value's first compile.
+    First writer wins; the key is a pure function of the trace. *)
 
 val length : t -> int
 (** Number of events.  O(1) once the trace has been compiled or queried

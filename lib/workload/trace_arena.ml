@@ -18,11 +18,18 @@
    and diverge only deeper into the stream would collide — the shipped
    models never do (their streams are PRNG-seeded, so any difference
    shows immediately), and the cost of the fingerprint is a bounded
-   prefix replay, not a full one. *)
+   prefix replay, not a full one.  A trace value records its key at its
+   first compile, so compiling the same value again is a table lookup.
+
+   Derived arenas.  [derive] rewrites one column of a compiled arena (a
+   fault plan's corrupted vpages, say) and optionally keeps only a
+   prefix.  The derived arena shares the other three columns with its
+   base, is memoised beside it under the base key plus a tag, and is
+   never persisted: deriving is cheap next to regenerating the stream. *)
 
 module Codec = Trace_codec
 
-type t = { trace : Trace.t; packed : Codec.packed }
+type t = { trace : Trace.t; packed : Codec.packed; key : string }
 
 let trace a = a.trace
 let length a = Codec.length a.packed
@@ -144,61 +151,86 @@ let store_cached k p =
 let compilations_counter = ref 0
 let compilations () = !compilations_counter
 
+(* Distinct values of the column's first [n] entries: a bitmap over
+   [0, max] when the values are pages of a plausible address space, a
+   table otherwise (a hand-written trace file may name any page). *)
+let count_distinct (col : Codec.buf) n =
+  let lo = ref 0 and hi = ref (-1) in
+  for i = 0 to n - 1 do
+    let v = Bigarray.Array1.unsafe_get col i in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  if !lo >= 0 && !hi < (4 * n) + 65536 then begin
+    let seen = Repro_util.Bitset.create (!hi + 1) in
+    for i = 0 to n - 1 do
+      Repro_util.Bitset.set seen (Bigarray.Array1.unsafe_get col i)
+    done;
+    Repro_util.Bitset.cardinal seen
+  end
+  else begin
+    let seen = Hashtbl.create 1024 in
+    for i = 0 to n - 1 do
+      Hashtbl.replace seen (Bigarray.Array1.unsafe_get col i) ()
+    done;
+    Hashtbl.length seen
+  end
+
+(* The columns grow off-heap, doubling, and are trimmed to length at the
+   end: a compile puts nothing on the major heap, so its cost does not
+   depend on how much garbage earlier work left there. *)
 let build trace fp =
   incr compilations_counter;
+  let column len : Codec.buf =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
+  in
   let cap = ref 4096 in
   let n = ref 0 in
-  let site = ref (Array.make !cap 0) in
-  let vpage = ref (Array.make !cap 0) in
-  let compute = ref (Array.make !cap 0) in
-  let thread = ref (Array.make !cap 0) in
-  let grow () =
-    let cap' = 2 * !cap in
-    let extend a = Array.append !a (Array.make !cap 0) in
-    site := extend site;
-    vpage := extend vpage;
-    compute := extend compute;
-    thread := extend thread;
-    cap := cap'
+  let site = ref (column !cap) in
+  let vpage = ref (column !cap) in
+  let compute = ref (column !cap) in
+  let thread = ref (column !cap) in
+  let resize len b =
+    let b' = column len in
+    let m = Int.min len (Bigarray.Array1.dim !b) in
+    Bigarray.Array1.blit (Bigarray.Array1.sub !b 0 m) (Bigarray.Array1.sub b' 0 m);
+    b := b'
   in
-  let distinct = Hashtbl.create 1024 in
+  let columns = [ site; vpage; compute; thread ] in
   Seq.iter
     (fun (a : Access.t) ->
-      if !n = !cap then grow ();
+      if !n = !cap then begin
+        cap := 2 * !cap;
+        List.iter (resize !cap) columns
+      end;
       let i = !n in
-      !site.(i) <- a.site;
-      !vpage.(i) <- a.vpage;
-      !compute.(i) <- a.compute;
-      !thread.(i) <- a.thread;
-      Hashtbl.replace distinct a.vpage ();
+      Bigarray.Array1.unsafe_set !site i a.site;
+      Bigarray.Array1.unsafe_set !vpage i a.vpage;
+      Bigarray.Array1.unsafe_set !compute i a.compute;
+      Bigarray.Array1.unsafe_set !thread i a.thread;
       n := i + 1)
     (Trace.events trace);
-  let column src =
-    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !n in
-    for i = 0 to !n - 1 do
-      Bigarray.Array1.unsafe_set b i (Array.unsafe_get src i)
-    done;
-    b
-  in
+  List.iter (resize !n) columns;
   {
     Codec.name = trace.Trace.name;
     seed = trace.Trace.seed;
     elrange_pages = trace.Trace.elrange_pages;
     footprint_pages = trace.Trace.footprint_pages;
     fingerprint = fp;
-    distinct_pages = Hashtbl.length distinct;
-    site = column !site;
-    vpage = column !vpage;
-    compute = column !compute;
-    thread = column !thread;
+    distinct_pages = count_distinct !vpage !n;
+    site = !site;
+    vpage = !vpage;
+    compute = !compute;
+    thread = !thread;
   }
 
 let memo : (string, t) Hashtbl.t = Hashtbl.create 16
 let clear_memo () = Hashtbl.reset memo
 
-let compile trace =
+let compile_keyed trace =
   let fp = fingerprint trace in
   let k = key trace fp in
+  Trace.note_arena_key trace k;
   let a =
     match Hashtbl.find_opt memo k with
     | Some a -> a
@@ -211,12 +243,48 @@ let compile trace =
           store_cached k p;
           p
       in
-      let a = { trace; packed } in
+      let a = { trace; packed; key = k } in
       Hashtbl.replace memo k a;
       a
   in
   Trace.note_stats trace ~length:(length a) ~distinct_pages:(distinct_pages a);
   a
+
+(* A value that compiled before already carries its key and its stats:
+   a memo hit on it skips the fingerprint's prefix replay. *)
+let compile trace =
+  match Option.bind trace.Trace.arena_key (Hashtbl.find_opt memo) with
+  | Some a -> a
+  | None -> compile_keyed trace
+
+let derive a ~tag ~length:n ~vpage =
+  let k = a.key ^ "|" ^ tag in
+  match Hashtbl.find_opt memo k with
+  | Some d -> d
+  | None ->
+    let p = a.packed in
+    let n = Int.max 0 (Int.min n (length a)) in
+    let prefix col =
+      if n = Codec.length p then col else Bigarray.Array1.sub col 0 n
+    in
+    let src = p.Codec.vpage in
+    let col = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set col i (vpage i (Bigarray.Array1.unsafe_get src i))
+    done;
+    let packed =
+      {
+        p with
+        Codec.distinct_pages = count_distinct col n;
+        site = prefix p.Codec.site;
+        vpage = col;
+        compute = prefix p.Codec.compute;
+        thread = prefix p.Codec.thread;
+      }
+    in
+    let d = { trace = a.trace; packed; key = k } in
+    Hashtbl.replace memo k d;
+    d
 
 let cache_path trace =
   match cache_dir () with

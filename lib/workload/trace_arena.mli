@@ -13,7 +13,10 @@
 
     Compiling also deposits the stream's length and distinct-page count
     on the trace ({!Trace.note_stats}), making [Trace.length] and
-    [Trace.count_distinct_pages] O(1) afterwards. *)
+    [Trace.count_distinct_pages] O(1) afterwards, and records the memo
+    key on the trace value ({!Trace.note_arena_key}), so compiling the
+    same value again is a table lookup rather than a fingerprint
+    replay. *)
 
 type t
 
@@ -22,6 +25,19 @@ val compile : Trace.t -> t
     A cache file that is truncated, corrupt, version-mismatched or for a
     different trace is treated as a miss and regenerated, never an
     error. *)
+
+val derive : t -> tag:string -> length:int -> vpage:(int -> int -> int) -> t
+(** [derive a ~tag ~length ~vpage] is the arena of [a]'s first
+    [min length (length a)] events whose vpage column is
+    [vpage i (vpage_of_a i)] for each index [i].  It shares [a]'s site,
+    compute and thread columns (a prefix [Bigarray] sub when shortened)
+    and owns its one new vpage column.
+
+    Memoised in the process memo under [a]'s key plus [tag], so
+    [clear_memo] drops it with its base; [tag] must determine [length]
+    and [vpage] completely.  Never written to the disk cache.  Its
+    {!length} and {!distinct_pages} are its own, and deriving never
+    touches the base trace's stats; {!trace} is the base trace. *)
 
 val trace : t -> Trace.t
 val length : t -> int
@@ -62,7 +78,8 @@ val get : t -> int -> Access.t
 
 val to_seq : t -> Access.t Seq.t
 (** The arena as a sequence — drop-in for [Trace.events] where a [Seq]
-    is structurally required (e.g. fault-plan trace perturbation). *)
+    is structurally required (e.g. the reference fault-plan trace
+    perturbation). *)
 
 (** {1 Cache plumbing} *)
 
@@ -83,4 +100,5 @@ val compilations : unit -> int
     per trace" on this. *)
 
 val clear_memo : unit -> unit
-(** Drop the in-process memo (tests use this to force the disk path). *)
+(** Drop the in-process memo, derived arenas included (tests use this to
+    force the disk path). *)

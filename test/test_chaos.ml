@@ -92,6 +92,73 @@ let test_trace_truncation () =
           ~elrange_pages:trace.Workload.Trace.elrange_pages
           (Workload.Trace.events trace)))
 
+(* The per-instance samplers against the pure draws they cache.  Call
+   sequences jump backwards, repeat, sit on window edges ([k * period]
+   and the cycle before it) and change the capacity or base inside one
+   window, so a cache keyed on the window alone — or one that only moves
+   forwards — answers some call wrongly. *)
+let sampler_calls ~period =
+  let open QCheck.Gen in
+  let at =
+    let* k = int_range 0 6 in
+    oneof
+      [
+        return 0;
+        return (k * period);
+        return (Int.max 0 ((k * period) - 1));
+        int_range 0 (7 * period);
+      ]
+  in
+  let arg = oneofl [ 1; 2; 63; 64; 1024; 4096; 44_000 ] in
+  let* calls = list_size (int_range 1 80) (pair at arg) in
+  let* repeat = list_repeat (List.length calls) bool in
+  return
+    (List.concat
+       (List.map2 (fun c twice -> if twice then [ c; c ] else [ c ]) calls repeat))
+
+let sampler_plans =
+  [
+    Fault_plan.jittery_channel;
+    Fault_plan.noisy_neighbor;
+    Fault_plan.perfect_storm;
+    Fault_plan.flaky_service;
+  ]
+
+let sampler_qcheck ~name ~period ~sampler ~reference =
+  QCheck.Test.make ~count:200 ~name
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            pair int (list (pair int int)))
+        Gen.(pair (int_range 0 1_000_000) (sampler_calls ~period)))
+    (fun (seed, calls) ->
+      List.for_all
+        (fun plan ->
+          let plan = Fault_plan.with_seed plan seed in
+          match sampler plan with
+          | None -> reference plan = None
+          | Some f ->
+            let r = Option.get (reference plan) in
+            List.for_all (fun (at, x) -> f ~at x = r ~at x) calls)
+        sampler_plans)
+
+let samplers_qcheck =
+  [
+    sampler_qcheck ~name:"jitter sampler = perturb_load_duration"
+      ~period:500_000 ~sampler:Fault_plan.jitter_sampler
+      ~reference:(fun p ->
+        Option.map
+          (fun _ ~at base -> Fault_plan.perturb_load_duration p ~at base)
+          p.Fault_plan.channel);
+    sampler_qcheck ~name:"budget sampler = epc_budget" ~period:2_000_000
+      ~sampler:Fault_plan.budget_sampler
+      ~reference:(fun p ->
+        Option.map
+          (fun _ ~at capacity -> Fault_plan.epc_budget p ~at ~capacity)
+          p.Fault_plan.co_tenant);
+  ]
+
 let test_scramble_plan_permutes () =
   let plan = Experiments.plan_for Experiments.quick "deepsjeng" in
   let stale = Fault_plan.with_seed Fault_plan.stale_profile 7 in
@@ -285,7 +352,8 @@ let () =
           tc "stale plan scrambling" test_scramble_plan_permutes;
           tc "parameter validation" test_validate_rejects_bad_params;
           tc "bank lookup" test_bank_lookup;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest samplers_qcheck );
       ( "degradation",
         [
           tc "measured against fault-free" test_degradation_against_fault_free;

@@ -1,7 +1,8 @@
 (* Unit tests for the sgxsim substrate (everything below the Enclave
    facade; the facade has its own suite in test_enclave.ml), plus the
    allocation contracts of the per-access path, which run through the
-   facade, and of the §4.4 classifier that observes it. *)
+   facade, of the §4.4 classifier that observes it, and of the replay
+   steps of runs under a fault plan. *)
 
 module Cost_model = Sgxsim.Cost_model
 module Page_table = Sgxsim.Page_table
@@ -932,6 +933,94 @@ let test_alloc_online_observe_resident () =
   checki "observed" 10_064 (Preload.Online.observed ctl);
   check_words "Online.observe of resident pages" ~at_most:0.01 words
 
+(* The fault-plan paths.  A co-tenant budget and channel jitter are
+   sampled once per time window, so a resident access under the full
+   storm allocates what it does without one; a trace-corrupting plan
+   replays a derived arena, so a perturbed replay step and a service
+   request step allocate about what a plain replay step does. *)
+let model_trace name =
+  Sim.Experiments.trace_of
+    { Sim.Experiments.quick with epc_pages = 512 }
+    name ~input:(Workload.Input.Ref 0)
+
+let runner_config = { Sim.Runner.default_config with epc_pages = 512 }
+
+let test_alloc_storm_resident_access () =
+  let spec =
+    Sim.Runner.Spec.make ~config:runner_config
+      ~fault_plan:Sim.Fault_plan.perfect_storm ()
+  in
+  let inst =
+    Sim.Runner.make_instance ~spec ~trace:(model_trace "xz") Preload.Scheme.Baseline
+  in
+  let e = inst.Sim.Runner.enclave in
+  let now = ref (Enclave.access e ~now:0 5) in
+  let words =
+    words_per_call 10_000 (fun () -> now := Enclave.access e ~now:!now 5)
+  in
+  checki "one fault, then hits" 1 (Sgxsim.Metrics.total_faults (Enclave.metrics e));
+  check_words "resident Enclave.access under perfect-storm" ~at_most:0.01 words
+
+(* Minor words per replayed access of a warm run (arenas compiled and
+   derived by a first, unmeasured call). *)
+let words_per_access run =
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let results = run () in
+  let words = Gc.minor_words () -. w0 in
+  let accesses =
+    List.fold_left
+      (fun acc (r : Sim.Runner.result) -> acc + r.Sim.Runner.metrics.Metrics.accesses)
+      0 results
+  in
+  words /. float_of_int accesses
+
+let test_alloc_perturbed_fleet_step () =
+  let tenants =
+    List.map
+      (fun name ->
+        Sim.Fleet.tenant ~label:name ~scheme:Preload.Scheme.Baseline
+          (model_trace name))
+      [ "lbm"; "xz" ]
+  in
+  let config = { Sim.Fleet.default_config with epc_pages = 512 } in
+  let fleet fault_plan () =
+    (Sim.Fleet.run ~config ~fault_plan tenants).Sim.Fleet.results
+  in
+  let clean = words_per_access (fleet Sim.Fault_plan.none) in
+  let garbled = words_per_access (fleet Sim.Fault_plan.garbled_trace) in
+  check_words
+    (Printf.sprintf "garbled-trace fleet step (fault-free: %.2f)" clean)
+    ~at_most:(clean +. 0.5) garbled
+
+let test_alloc_service_request_step () =
+  let trace = model_trace "xz" in
+  let solo =
+    words_per_access (fun () ->
+        [
+          Sim.Runner.run
+            ~spec:(Sim.Runner.Spec.make ~config:runner_config ())
+            ~scheme:Preload.Scheme.Baseline trace;
+        ])
+  in
+  let config =
+    {
+      Sim.Service.default_config with
+      epc_pages = 512;
+      pool = 4;
+      requests = 200;
+      request_events = 400;
+    }
+  in
+  let service =
+    words_per_access (fun () ->
+        (Sim.Service.run ~config ~scheme:Preload.Scheme.Baseline trace)
+          .Sim.Service.results)
+  in
+  check_words
+    (Printf.sprintf "service request step (solo replay: %.2f)" solo)
+    ~at_most:(solo +. 1.0) service
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -998,6 +1087,12 @@ let () =
             test_alloc_lru_touch_evicting;
           tc "online observe of resident pages allocates nothing"
             test_alloc_online_observe_resident;
+          tc "resident access under perfect-storm allocates nothing"
+            test_alloc_storm_resident_access;
+          tc "perturbed fleet step allocates what a clean one does"
+            test_alloc_perturbed_fleet_step;
+          tc "service request step allocates what a replay step does"
+            test_alloc_service_request_step;
         ] );
       ( "metrics_event",
         [

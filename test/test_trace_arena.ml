@@ -1,7 +1,9 @@
 (* Tests of the compiled trace arena: the binary codec (round-trip,
    rejection of malformed files), the one-compilation-per-trace memo,
-   and the on-disk cache (cold store, warm decode, invalidation on
-   seed/pattern/version change, corrupt-file regeneration). *)
+   the on-disk cache (cold store, warm decode, invalidation on
+   seed/pattern/version change, corrupt-file regeneration), and the
+   fault plan's perturbed arena against the [Seq] reference it
+   replaces. *)
 
 module Prng = Repro_util.Prng
 module Access = Workload.Access
@@ -9,6 +11,7 @@ module Pattern = Workload.Pattern
 module Trace = Workload.Trace
 module Arena = Workload.Trace_arena
 module Codec = Workload.Trace_codec
+module Fault_plan = Sim.Fault_plan
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -296,6 +299,113 @@ let test_one_compilation_per_trace () =
   ignore (Arena.compile t');
   checki "identical trace value memo-hits" 1 (Arena.compilations () - c0)
 
+(* A hand-written trace may name pages far outside any plausible
+   address space; counting them must not size a bitmap by the largest. *)
+let test_distinct_pages_of_sparse_pages () =
+  let ev vpage = Access.make ~site:0 ~vpage ~compute:1 () in
+  let t =
+    Trace.make ~name:"arena-sparse" ~elrange_pages:8 ~footprint_pages:4 ~seed:0
+      ~sites:[]
+      (Pattern.of_events [ ev 5; ev (1 lsl 40); ev 5; ev 0; ev (1 lsl 40) ])
+  in
+  let a = Arena.compile t in
+  checki "length" 5 (Arena.length a);
+  checki "distinct pages" 3 (Arena.distinct_pages a);
+  checki "vpage kept" (1 lsl 40) (Arena.vpage a 1)
+
+(* A repeated compile of the same trace value looks up the key it
+   recorded the first time instead of replaying the stream prefix. *)
+let test_compile_hit_is_a_lookup () =
+  let t = mk ~name:"arena-hit" ~seed:12 ~pages:64 () in
+  let a = Arena.compile t in
+  let c0 = Arena.compilations () in
+  let w0 = Gc.minor_words () in
+  let a' = Arena.compile t in
+  let words = Gc.minor_words () -. w0 in
+  checkb "same arena" true (a == a');
+  checki "no compilation" 0 (Arena.compilations () - c0);
+  if not (words < 100.0) then
+    Alcotest.failf "memo hit allocated %.0f words, contract is under 100" words;
+  (* The recorded key never masks a dropped memo entry. *)
+  Arena.clear_memo ();
+  let a'' = Arena.compile t in
+  checki "recompiled after clear_memo" 1 (Arena.compilations () - c0);
+  checkb "to the same stream" true (arena_list a'' = arena_list a)
+
+(* ------------------------------------------------------------------ *)
+(* Perturbed arenas                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let trace_plan ~seed ~corrupt ~truncate =
+  {
+    Fault_plan.none with
+    name = "arena-perturb";
+    seed;
+    trace = Some { Fault_plan.corrupt_chance = corrupt; truncate_after = truncate };
+  }
+
+let perturbed_arena_prop =
+  let cuts = [ "none"; "zero"; "mid"; "past" ] in
+  let gen =
+    QCheck2.Gen.(
+      quad (int_range 0 1_000_000)
+        (oneofl [ 0.0; 0.01; 0.5; 1.0 ])
+        (oneofl cuts) (int_range 1 40))
+  in
+  QCheck2.Test.make ~name:"perturbed arena equals perturb_trace" ~count:80
+    ~print:QCheck2.Print.(quad int float string int)
+    gen
+    (fun (seed, corrupt, cut, pages) ->
+      let t =
+        mk ~name:(Printf.sprintf "arena-perturb-%d" pages) ~seed:(seed mod 97)
+          ~pages ()
+      in
+      let base = Arena.compile t in
+      let n = Arena.length base in
+      let truncate =
+        match cut with
+        | "zero" -> Some 0
+        | "mid" -> Some (n / 2)
+        | "past" -> Some (n + 7)
+        | _ -> None
+      in
+      let plan = trace_plan ~seed ~corrupt ~truncate in
+      let elrange_pages = t.Trace.elrange_pages in
+      let reference =
+        List.map quad
+          (List.of_seq
+             (Fault_plan.perturb_trace plan ~elrange_pages (Arena.to_seq base)))
+      in
+      let d = Fault_plan.perturb_arena plan ~elrange_pages base in
+      Arena.length d = List.length reference && arena_list d = reference)
+
+let test_perturbed_arena_memo () =
+  let t = mk ~name:"arena-perturb-memo" ~seed:5 ~pages:32 () in
+  let elrange_pages = t.Trace.elrange_pages in
+  let full = Seq.length (Trace.events t) in
+  let plan = trace_plan ~seed:9 ~corrupt:0.5 ~truncate:(Some 50) in
+  let perturb plan = Fault_plan.perturb_arena plan ~elrange_pages (Arena.compile t) in
+  let d = perturb plan in
+  checkb "same trace and plan: one arena" true (d == perturb plan);
+  checkb "another seed: another arena" true
+    (d != perturb (Fault_plan.with_seed plan 10));
+  checkb "no trace fault: the base itself" true
+    (perturb Fault_plan.none == Arena.compile t);
+  checki "truncated" 50 (Arena.length d);
+  checkb "corrupted" true
+    (arena_list d <> List.filteri (fun i _ -> i < 50) (arena_list (Arena.compile t)));
+  checki "base Trace.length untouched" full (Trace.length t);
+  checki "base distinct pages untouched"
+    (Arena.distinct_pages (Arena.compile t))
+    (Trace.count_distinct_pages t);
+  checki "derived distinct pages count its own column"
+    (List.length (List.sort_uniq compare (List.map (fun (_, v, _, _) -> v) (arena_list d))))
+    (Arena.distinct_pages d);
+  Arena.clear_memo ();
+  let d' = perturb plan in
+  checkb "clear_memo drops it" true (d' != d);
+  checkb "and it derives again to the same stream" true (arena_list d' = arena_list d)
+
 (* ------------------------------------------------------------------ *)
 (* On-disk cache                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -412,8 +522,13 @@ let () =
         [
           tc "iter/fold/indexed agree" test_arena_iter_fold_indexed_agree;
           tc "one compilation per trace" test_one_compilation_per_trace;
+          tc "memo hit is a lookup" test_compile_hit_is_a_lookup;
+          tc "distinct pages of sparse pages" test_distinct_pages_of_sparse_pages;
         ]
         @ props [ arena_matches_events_prop ] );
+      ( "perturbed",
+        [ tc "memoised beside its base" test_perturbed_arena_memo ]
+        @ props [ perturbed_arena_prop ] );
       ( "cache",
         [
           tc "disabled without env" test_cache_disabled_without_env;
