@@ -1,5 +1,6 @@
 module Enclave = Sgxsim.Enclave
 module Int_table = Repro_util.Int_table
+module SP = Stream_predictor
 
 type config = {
   stream_list_length : int;
@@ -26,7 +27,7 @@ type t = {
   config : config;
   (* Per-thread predictor lookup runs on every fault; small thread ids,
      which is what every trace generator produces, are an array probe. *)
-  predictors : Stream_predictor.t Int_table.t;
+  predictors : SP.t Int_table.t;
   mutable predictor_count : int;
   mutable acc_preload_counter : int;
   mutable preload_counter : int;
@@ -35,7 +36,7 @@ type t = {
 
 let new_predictor t =
   t.predictor_count <- t.predictor_count + 1;
-  Stream_predictor.create ~detect_backward:t.config.detect_backward
+  SP.create ~detect_backward:t.config.detect_backward
     ~stream_list_length:t.config.stream_list_length
     ~load_length:t.config.load_length ()
 
@@ -49,42 +50,49 @@ let predictor_for t thread =
     p
   end
 
-(* A stream's new pending window, built in one pass: the old pending
-   pages still queued (checked against the enclave's per-vpage queue
-   index, O(1) each, before any new request can start a load), then the
-   predictions the enclave accepted, each in order.  Top-level
-   recursions, so the refresh allocates only the cells it keeps. *)
-let rec accepted enclave ~now = function
-  | [] -> []
-  | p :: rest ->
-    if Enclave.request_preload enclave ~now p then
-      p :: accepted enclave ~now rest
-    else accepted enclave ~now rest
+(* Refresh the head stream's pending window in place after an [Extend]:
+   first keep the old pending pages that are still queued (checked
+   against the enclave's per-vpage queue index, O(1) each, before any new
+   request can start a load), then append the predictions
+   [npn + dir * i], i = 1..LOADLENGTH, that are not negative and that the
+   enclave accepted, each in order. *)
+let refresh_pending predictor enclave ~now =
+  let kept = ref 0 in
+  for i = 0 to SP.head_pending_count predictor - 1 do
+    let page = SP.head_pending predictor i in
+    if Enclave.preload_queued enclave page then begin
+      SP.set_head_pending predictor !kept page;
+      incr kept
+    end
+  done;
+  SP.truncate_head_pending predictor !kept;
+  let npn = SP.head_tail predictor in
+  let dir = SP.head_dir predictor in
+  for i = 1 to SP.load_length predictor do
+    let page = npn + (dir * i) in
+    if page >= 0 && Enclave.request_preload enclave ~now page then
+      SP.push_head_pending predictor page
+  done
 
-let rec still_queued enclave ~now predict = function
-  | [] -> accepted enclave ~now predict
-  | p :: rest ->
-    if Enclave.preload_queued enclave p then
-      p :: still_queued enclave ~now predict rest
-    else still_queued enclave ~now predict rest
-
-let issue_preloads enclave ~now stream predict =
-  Stream_predictor.set_pending stream
-    (still_queued enclave ~now predict stream.Stream_predictor.pending)
+let abort_dropped predictor enclave ~now =
+  ignore
+    (Enclave.abort_pending_preloads_pages enclave ~now (SP.dropped predictor)
+       (SP.dropped_count predictor))
 
 let on_fault t enclave (ctx : Enclave.fault_ctx) =
   if not t.stopped then begin
     let now = ctx.handled_at in
     let predictor = predictor_for t ctx.fault_thread in
-    match Stream_predictor.on_fault predictor ctx.fault_vpage with
-    | Extend { stream; predict } -> issue_preloads enclave ~now stream predict
-    | Restart_within { stream = _; abort } ->
-      ignore (Enclave.abort_pending_preloads_pages enclave ~now abort)
-    | New_stream { stream = _; replaced = None } -> ()
-    | New_stream { stream = _; replaced = Some dead } -> (
-      match dead.Stream_predictor.pending with
-      | [] -> ()
-      | abort -> ignore (Enclave.abort_pending_preloads_pages enclave ~now abort))
+    match SP.on_fault predictor ctx.fault_vpage with
+    | SP.Extend -> refresh_pending predictor enclave ~now
+    | SP.Restart_within ->
+      (* Always called, even when none of the dropped pages is still
+         queued: the abort syncs the enclave at [now]. *)
+      abort_dropped predictor enclave ~now
+    | SP.New_stream ->
+      (* Only a replaced stream with pending pages has anything to
+         abort. *)
+      if SP.dropped_count predictor > 0 then abort_dropped predictor enclave ~now
   end
 
 (* The §4.2 stop decision, audited against the paper's semantics:
@@ -113,7 +121,7 @@ let create config =
     (* The dummy marks an unseen thread and is never handed out. *)
     predictors =
       Int_table.create
-        ~dummy:(Stream_predictor.create ~stream_list_length:1 ~load_length:1 ());
+        ~dummy:(SP.create ~stream_list_length:1 ~load_length:1 ());
     predictor_count = 0;
     acc_preload_counter = 0;
     preload_counter = 0;

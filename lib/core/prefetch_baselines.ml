@@ -11,25 +11,32 @@ let attach_next_line enclave ~degree =
       done);
   { name = Printf.sprintf "next-line(%d)" degree }
 
+(* The last fault's page and the delta that led to it, as ints plus a
+   count of faults seen (capped at 2): a delta exists from the second
+   fault on, a repeat can be judged from the third.  Plain ints, so a
+   fault stores nothing boxed. *)
+type stride_state = {
+  mutable seen : int;
+  mutable last_page : int;
+  mutable last_delta : int;
+}
+
 let attach_stride enclave ~degree =
   if degree <= 0 then invalid_arg "attach_stride: degree must be positive";
-  let last_page = ref None in
-  let last_delta = ref None in
+  let s = { seen = 0; last_page = 0; last_delta = 0 } in
   Enclave.set_on_fault enclave (fun enc (ctx : Enclave.fault_ctx) ->
       let now = ctx.handled_at in
       let page = ctx.fault_vpage in
-      (match (!last_page, !last_delta) with
-      | Some prev, Some delta when page - prev = delta && delta <> 0 ->
+      let delta = s.last_delta in
+      if s.seen >= 2 && page - s.last_page = delta && delta <> 0 then
         for i = 1 to degree do
           let target = page + (delta * i) in
           if target >= 0 && target < Enclave.elrange_pages enc then
             ignore (Enclave.request_preload enc ~now target)
-        done
-      | _ -> ());
-      (match !last_page with
-      | Some prev -> last_delta := Some (page - prev)
-      | None -> ());
-      last_page := Some page);
+        done;
+      if s.seen >= 1 then s.last_delta <- page - s.last_page;
+      s.last_page <- page;
+      if s.seen < 2 then s.seen <- s.seen + 1);
   { name = Printf.sprintf "stride(%d)" degree }
 
 let attach_markov enclave ~table_pages ~degree =

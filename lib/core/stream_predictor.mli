@@ -20,38 +20,34 @@
     second sequential fault; until then both neighbours count as
     sequential.
 
-    The list is kept as records that never move plus an int array of
-    their MRU order, so a promotion shifts ints, not pointers.  A fault
-    allocates only its reaction: the predicted pages of an [Extend], and
-    the new record of a [New_stream].  Each stream keeps the bounds of
-    its pending pages, so the pending scan walks a stream's list only
-    when the faulted page lies between them.  {!covers}, the classifiers'
-    stream test, reads the same arrays. *)
+    The list is flat: the scalar state of each MRU position (tail,
+    direction, pending bounds, row slot) is a run of ints in one int
+    array, and each stream's pending pages are a row of one flat int
+    array.
+    A promotion shifts ints, so it takes no write barrier, and
+    {!on_fault} allocates nothing: it returns a constant {!verdict} and
+    leaves the stream it touched at the head, where the caller reads
+    the tail, the direction and the pending pages through the [head_*]
+    accessors, and the pages to abort through {!dropped}.  Each stream
+    keeps the bounds of its pending pages, so the pending scan walks a
+    row only when the faulted page lies between them.  {!covers}, the
+    classifiers' stream test, reads the same arrays. *)
 
-type stream = private {
-  mutable stpn : int;  (** Stream tail page number: the last faulted page. *)
-  mutable dir : int;  (** +1 ascending, -1 descending, 0 undetermined. *)
-  mutable pending : int list;
-      (** Pages this stream asked to preload that are believed still
-          queued; used for the within-window abort check.  Maintained by
-          the caller via {!set_pending}. *)
-  mutable pending_lo : int;
-      (** Least page of [pending]; [max_int] when it is empty. *)
-  mutable pending_hi : int;
-      (** Greatest page of [pending]; [min_int] when it is empty. *)
-}
-(** Read-only outside this module: {!on_fault} and {!set_pending} keep
-    the fields consistent. *)
-
-type reaction =
-  | Extend of { stream : stream; predict : int list }
-      (** Sequential hit: preload [predict] (already tail-extended). *)
-  | Restart_within of { stream : stream; abort : int list }
-      (** The fault landed inside [stream]'s pending window: abort those
-          queued preloads, the stream restarts at the faulted page. *)
-  | New_stream of { stream : stream; replaced : stream option }
-      (** Irregular fault: a fresh stream was inserted; [replaced] is the
-          evicted LRU entry (its pending preloads should be aborted). *)
+type verdict =
+  | Extend
+      (** Sequential hit: the head's tail advanced to the fault and its
+          direction is set; preload the [LOADLENGTH] pages past it
+          ({!head_tail} [+ dir * i]).  Nothing is dropped. *)
+  | Restart_within
+      (** The fault landed inside the head's pending window: the head
+          restarted at the faulted page with no direction, and its
+          pending pages moved to {!dropped} (abort those queued
+          preloads). *)
+  | New_stream
+      (** Irregular fault: a fresh stream is at the head.  If the list
+          was full it replaced the LRU entry, whose pending pages are in
+          {!dropped} (none when it had none, or when a free entry was
+          used). *)
 
 type t
 
@@ -65,11 +61,56 @@ val create :
 val load_length : t -> int
 val stream_list_length : t -> int
 
-val on_fault : t -> int -> reaction
-(** Feed one fault (page number only — all the OS can see). *)
+val on_fault : t -> int -> verdict
+(** Feed one fault (page number only — all the OS can see).  Allocates
+    nothing. *)
 
-val set_pending : stream -> int list -> unit
-(** Replace a stream's pending pages (and their bounds).  O(list). *)
+(** {1 The head stream}
+
+    Valid after the first {!on_fault}; each raises [Invalid_argument] on
+    an empty list. *)
+
+val head_tail : t -> int
+(** The head's tail page number: the last page it faulted on. *)
+
+val head_dir : t -> int
+(** The head's direction: +1 ascending, -1 descending, 0 undetermined. *)
+
+val head_pending_count : t -> int
+
+val head_pending : t -> int -> int
+(** [head_pending t i] is the head's [i]-th pending page
+    ([0 <= i < head_pending_count t]), oldest first: a page the stream
+    asked to preload that is believed still queued.  The caller
+    maintains the list with the three functions below. *)
+
+val set_head_pending : t -> int -> int -> unit
+(** [set_head_pending t i page] overwrites the head's [i]-th pending
+    page.  With {!truncate_head_pending} it filters the list in place:
+    write the kept pages to the front, then truncate. *)
+
+val truncate_head_pending : t -> int -> unit
+(** [truncate_head_pending t n] keeps the head's first [n] pending pages
+    and recomputes the window bounds over them.  O(n). *)
+
+val push_head_pending : t -> int -> unit
+(** Append a page to the head's pending pages.  Amortized O(1): the
+    rows all double together when one outgrows them, so they grow only
+    past the deepest window seen so far. *)
+
+(** {1 Dropped pages} *)
+
+val dropped_count : t -> int
+(** Pages the last {!on_fault} took off a stream: the restarted head's
+    pending pages after [Restart_within], the replaced LRU stream's
+    after [New_stream], 0 after [Extend]. *)
+
+val dropped : t -> int array
+(** The predictor's buffer of those pages: entries [0, dropped_count)
+    are valid, in pending order.  Read-only for the caller, and
+    overwritten by the next {!on_fault}. *)
+
+(** {1 Queries} *)
 
 val covers : t -> int -> bool
 (** The §4.4 Class 2 test: does the page lie 1..[load_length] pages
@@ -78,7 +119,11 @@ val covers : t -> int -> bool
     have preloaded.  Reads the list without changing it and allocates
     nothing. *)
 
+type stream = { stpn : int; dir : int; pending : int list }
+(** A snapshot of one entry: tail, direction, pending pages. *)
+
 val streams : t -> stream list
-(** Current entries, most recently used first (inspection/testing). *)
+(** Current entries, most recently used first (inspection/testing;
+    allocates the snapshot). *)
 
 val reset : t -> unit

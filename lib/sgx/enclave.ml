@@ -3,11 +3,11 @@ module Bitset = Repro_util.Bitset
 type fault_resolution = Already_present | Waited_in_flight | Demand_load
 
 type fault_ctx = {
-  fault_vpage : int;
-  fault_thread : int;
-  raised_at : int;
-  handled_at : int;
-  resolution : fault_resolution;
+  mutable fault_vpage : int;
+  mutable fault_thread : int;
+  mutable raised_at : int;
+  mutable handled_at : int;
+  mutable resolution : fault_resolution;
 }
 
 type t = {
@@ -58,6 +58,12 @@ type t = {
   probe : owner:int -> vpage:int -> Clock_evictor.verdict;
       (* This enclave's CLOCK probe ({!sweep_probe}), built once here so
          that an eviction allocates no closure. *)
+  harvest_page : int -> unit;
+      (* [harvest t], built once for the same reason: the periodic scan
+         feeds it every page touched since the last scan. *)
+  ctx : fault_ctx;
+      (* The one context every fault fills in before calling [on_fault];
+         hooks must not keep it past the call. *)
 }
 
 (* Credit a preloaded page's first observed use to the scheme (the paper's
@@ -132,6 +138,15 @@ let create ?(costs = Cost_model.paper) ?(log = Event.null_log) ?epc
       load_perturb = (fun ~at d -> ignore at; d);
       epc_budget = None;
       probe = (fun ~owner ~vpage -> sweep_probe t ~owner ~vpage);
+      harvest_page = (fun vpage -> harvest t vpage);
+      ctx =
+        {
+          fault_vpage = -1;
+          fault_thread = 0;
+          raised_at = 0;
+          handled_at = 0;
+          resolution = Demand_load;
+        };
     }
   in
   t
@@ -321,7 +336,7 @@ let run_scan t ~at =
      O(EPC capacity).  The hit counters it feeds are order-independent,
      so visiting in touch order instead of frame order changes nothing
      observable. *)
-  Page_table.drain_touched t.pt ~f:(fun v -> harvest t v);
+  Page_table.drain_touched t.pt ~f:t.harvest_page;
   (* A co-tenant that grew its slice reclaims frames here: its own
      channel does the write-backs, so — unlike the evictions a load
      triggers in [start_load] — no cycles are charged to this enclave;
@@ -454,9 +469,13 @@ let fault_path t ~now ~thread vpage =
      frame over too.  (Guarded: a shrunk-budget scan racing the load
      completion can have re-evicted the page already.) *)
   if Page_table.present t.pt vpage then Page_table.pin t.pt vpage;
-  t.on_fault t
-    { fault_vpage = vpage; fault_thread = thread; raised_at = now; handled_at;
-      resolution };
+  let ctx = t.ctx in
+  ctx.fault_vpage <- vpage;
+  ctx.fault_thread <- thread;
+  ctx.raised_at <- now;
+  ctx.handled_at <- handled_at;
+  ctx.resolution <- resolution;
+  t.on_fault t ctx;
   t.metrics.cyc_eresume <- t.metrics.cyc_eresume + c.Cost_model.t_eresume;
   let resumed = handled_at + c.Cost_model.t_eresume in
   if logging t then record t (Event.Eresume { at = resumed; vpage });
@@ -572,18 +591,9 @@ let abort_pending_preloads t ~now =
   end;
   n
 
-let abort_pending_preloads_where t ~now pred =
+let abort_pending_preloads_pages t ~now pages n =
   sync t ~now;
-  let n = Load_channel.abort_queued_where t.channel pred in
-  if n > 0 then begin
-    t.metrics.preloads_aborted <- t.metrics.preloads_aborted + n;
-    if logging t then record t (Event.Preload_aborted { at = now; count = n })
-  end;
-  n
-
-let abort_pending_preloads_pages t ~now pages =
-  sync t ~now;
-  let n = Load_channel.abort_queued_pages t.channel pages in
+  let n = Load_channel.abort_queued_pages t.channel pages n in
   if n > 0 then begin
     t.metrics.preloads_aborted <- t.metrics.preloads_aborted + n;
     if logging t then record t (Event.Preload_aborted { at = now; count = n })

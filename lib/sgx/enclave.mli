@@ -20,12 +20,12 @@
     periodic scan) is replayed lazily and in timestamp order whenever the
     simulation reaches a new point in time.
 
-    The per-access path allocates almost nothing: an access to a
-    resident page allocates no words, and a fault with the null log
-    allocates the {!fault_ctx} passed to [on_fault] (plus one closure per
-    periodic scan).  Events are built only when the log records them
-    (see {!Event.recording}), integer comparisons are monomorphic, and
-    the CLOCK probe is one closure made at {!create}. *)
+    The per-access path allocates nothing with the null log: not on a
+    resident access, not on a fault, not on a periodic scan.  Each
+    enclave owns one {!fault_ctx}, filled in per fault; events are built
+    only when the log records them (see {!Event.recording}), integer
+    comparisons are monomorphic, and the CLOCK probe and the scan's
+    harvest are closures made once at {!create}. *)
 
 type fault_resolution =
   | Already_present
@@ -37,14 +37,18 @@ type fault_resolution =
   | Demand_load  (** The ordinary path: the handler loaded the page. *)
 
 type fault_ctx = {
-  fault_vpage : int;
-  fault_thread : int;
+  mutable fault_vpage : int;
+  mutable fault_thread : int;
       (** Faulting thread id — the [ID] input of Algorithm 1; the OS sees
           which thread trapped. *)
-  raised_at : int;  (** Cycle at which the fault trapped (AEX begins). *)
-  handled_at : int;  (** Cycle at which the OS handler finished. *)
-  resolution : fault_resolution;
+  mutable raised_at : int;  (** Cycle at which the fault trapped (AEX begins). *)
+  mutable handled_at : int;  (** Cycle at which the OS handler finished. *)
+  mutable resolution : fault_resolution;
 }
+(** What the OS handler sees of one fault.  The enclave owns a single
+    record and fills it in before each [on_fault] call, so a fault
+    allocates nothing: a hook reads the fields during the call and must
+    not keep the record (or expect it unchanged) after it returns. *)
 
 type t
 
@@ -79,7 +83,8 @@ val owner : t -> int
 val set_on_fault : t -> (t -> fault_ctx -> unit) -> unit
 (** Called once per fault, while the OS handler is logically running
     (timestamp [handled_at]).  The callback may queue preloads and abort
-    pending ones; this is where DFP lives. *)
+    pending ones; this is where DFP lives.  The context is valid only
+    during the call (see {!fault_ctx}). *)
 
 val add_on_fault : t -> (t -> fault_ctx -> unit) -> unit
 (** Chain an additional fault observer after the currently installed one
@@ -183,14 +188,11 @@ val crash : t -> now:int -> int list
 val abort_pending_preloads : t -> now:int -> int
 (** Drop all queued (not yet started) preloads; returns the count. *)
 
-val abort_pending_preloads_where : t -> now:int -> (int -> bool) -> int
-(** Drop queued preloads matching the predicate.  O(queue); prefer
-    {!abort_pending_preloads_pages} when the pages are known. *)
-
-val abort_pending_preloads_pages : t -> now:int -> int list -> int
-(** Drop the listed pages from the preload queue (pages not queued are
-    ignored); returns the number dropped.  O(k) in the list length — the
-    per-stream abort path. *)
+val abort_pending_preloads_pages : t -> now:int -> int array -> int -> int
+(** [abort_pending_preloads_pages t ~now pages n] drops the first [n]
+    entries of [pages] from the preload queue, in order (pages not queued
+    are ignored); returns the number dropped.  Syncs to [now] first, even
+    when nothing is dropped.  O(n) — the per-stream abort path. *)
 
 (** {1 Inspection} *)
 

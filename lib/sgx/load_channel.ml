@@ -1,17 +1,6 @@
 module Bitset = Repro_util.Bitset
-module Deque = Repro_util.Deque
 
 type kind = Demand | Preload_dfp | Preload_sip
-
-(* One pending-FIFO slot.  [seq] makes lazy deletion sound: a removal only
-   clears the per-page live sequence number, leaving the slot in place; a
-   slot whose [seq] no longer matches [live_seq.(vpage)] is stale and is
-   discarded the next time the head is inspected.  Re-queueing a removed
-   page allocates a fresh [seq], so the stale older slot can never shadow
-   the new tail position — FIFO order is exactly the list semantics. *)
-type entry = { e_vpage : int; e_at : int; e_seq : int }
-
-let stale_slot = { e_vpage = -1; e_at = 0; e_seq = -1 }
 
 type seqs = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -22,7 +11,21 @@ type t = {
   mutable cur_vpage : int;
   mutable cur_kind : kind;
   mutable cur_finishes : int;
-  q : entry Deque.t;
+  (* The pending FIFO: a ring of [Array.length q_vpage] slots, a power of
+     two, kept as three int columns (page, enqueue time, sequence
+     number), so a push is three plain stores and nothing is boxed or
+     promoted.  The [q_len] slots from [q_head] on (mod capacity) are
+     held, front first.  [seq] makes lazy deletion sound: a removal only
+     clears the per-page live sequence number, leaving the slot in place;
+     a slot whose seq no longer matches [live_seq.(vpage)] is stale and is
+     discarded the next time the head is inspected.  Re-queueing a removed
+     page allocates a fresh seq, so the stale older slot can never shadow
+     the new tail position — FIFO order is exactly the list semantics. *)
+  mutable q_vpage : int array;
+  mutable q_at : int array;
+  mutable q_seq : int array;
+  mutable q_head : int;
+  mutable q_len : int;
   live_seq : seqs;
       (* per vpage: seq of its live slot, -1 if none.  Off-heap so an
          ELRANGE-sized table adds nothing to GC marking (the fused replay
@@ -33,6 +36,8 @@ type t = {
   mutable free_at : int;
 }
 
+let initial_ring = 8
+
 let create ~pages =
   if pages <= 0 then invalid_arg "Load_channel.create: pages must be positive";
   let live_seq = Bigarray.Array1.create Bigarray.int Bigarray.c_layout pages in
@@ -41,7 +46,11 @@ let create ~pages =
     cur_vpage = -1;
     cur_kind = Demand;
     cur_finishes = 0;
-    q = Deque.create ~dummy:stale_slot ();
+    q_vpage = Array.make initial_ring 0;
+    q_at = Array.make initial_ring 0;
+    q_seq = Array.make initial_ring 0;
+    q_head = 0;
+    q_len = 0;
     live_seq;
     queued = Bitset.create pages;
     live = 0;
@@ -91,15 +100,36 @@ let cancel_in_flight t ~now =
     t.free_at <- now
   end
 
-let is_live t (e : entry) = Bigarray.Array1.get t.live_seq e.e_vpage = e.e_seq
+(* Physical index of the [i]-th held slot, front first. *)
+let slot t i = (t.q_head + i) land (Array.length t.q_vpage - 1)
+
+let is_live t s = Bigarray.Array1.get t.live_seq t.q_vpage.(s) = t.q_seq.(s)
 
 (* Discard stale (lazily-deleted) slots at the head.  Each slot is dropped
    at most once, so the scan is O(1) amortized over the queue's life. *)
-let rec drop_stale t =
-  if (not (Deque.is_empty t.q)) && not (is_live t (Deque.front t.q)) then begin
-    ignore (Deque.pop_front t.q);
-    drop_stale t
-  end
+let drop_stale t =
+  while t.q_len > 0 && not (is_live t t.q_head) do
+    t.q_head <- slot t 1;
+    t.q_len <- t.q_len - 1
+  done
+
+(* Double the ring, unrolling the held slots to the front of the new
+   columns in FIFO order. *)
+let grow t =
+  let cap = 2 * Array.length t.q_vpage in
+  let vpage = Array.make cap 0 in
+  let at = Array.make cap 0 in
+  let seq = Array.make cap 0 in
+  for i = 0 to t.q_len - 1 do
+    let s = slot t i in
+    vpage.(i) <- t.q_vpage.(s);
+    at.(i) <- t.q_at.(s);
+    seq.(i) <- t.q_seq.(s)
+  done;
+  t.q_vpage <- vpage;
+  t.q_at <- at;
+  t.q_seq <- seq;
+  t.q_head <- 0
 
 let queued_mem t vpage =
   vpage >= 0 && vpage < Bigarray.Array1.dim t.live_seq && Bitset.mem t.queued vpage
@@ -113,39 +143,54 @@ let queue_preload t ~vpage ~at =
       (Printf.sprintf "Load_channel.queue_preload: page %d already queued" vpage);
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Deque.push_back t.q { e_vpage = vpage; e_at = at; e_seq = seq };
+  if t.q_len = Array.length t.q_vpage then grow t;
+  let s = slot t t.q_len in
+  t.q_vpage.(s) <- vpage;
+  t.q_at.(s) <- at;
+  t.q_seq.(s) <- seq;
+  t.q_len <- t.q_len + 1;
   Bigarray.Array1.set t.live_seq vpage seq;
   Bitset.set t.queued vpage;
   t.live <- t.live + 1
 
 (* Allocation-free head peeks for the background-event scheduler, which
-   probes the FIFO on every pump step.  [stale_slot]'s vpage is -1, so an
-   empty queue reads as "no page". *)
+   probes the FIFO on every pump step.  An empty queue reads as page -1
+   at time 0. *)
 let next_queued_vpage t =
   drop_stale t;
-  (Deque.front t.q).e_vpage
+  if t.q_len = 0 then -1 else t.q_vpage.(t.q_head)
 
 let next_queued_at t =
   drop_stale t;
-  (Deque.front t.q).e_at
+  if t.q_len = 0 then 0 else t.q_at.(t.q_head)
 
-let physical_length t = Deque.length t.q
+let physical_length t = t.q_len
 
-(* Lazy deletion leaves the removed slot in the deque until it reaches
+(* Lazy deletion leaves the removed slot in the ring until it reaches
    the head; a run with heavy aborts and no re-queues (so [drop_stale]
-   never fires) would grow the deque without bound.  Rebuild from the
-   live slots once the stale ones exceed both a floor (small queues are
-   not worth compacting) and the live count (amortizes the O(n) rebuild
-   against the removals that created the garbage).  FIFO order is
-   preserved: live slots keep their relative order. *)
+   never fires) would grow the ring without bound.  Compact once the
+   stale slots exceed both a floor (small queues are not worth
+   compacting) and the live count (amortizes the O(n) pass against the
+   removals that created the garbage).  The pass runs in place: live
+   slots slide towards the head, keeping their relative order, so FIFO
+   order is preserved. *)
 let compaction_floor = 64
 
 let maybe_compact t =
-  let stale = Deque.length t.q - t.live in
+  let stale = t.q_len - t.live in
   if stale > compaction_floor && stale > t.live then begin
-    let entries = Deque.to_list t.q in
-    Deque.clear t.q;
-    List.iter (fun e -> if is_live t e then Deque.push_back t.q e) entries
+    let kept = ref 0 in
+    for i = 0 to t.q_len - 1 do
+      let src = slot t i in
+      if is_live t src then begin
+        let dst = slot t !kept in
+        t.q_vpage.(dst) <- t.q_vpage.(src);
+        t.q_at.(dst) <- t.q_at.(src);
+        t.q_seq.(dst) <- t.q_seq.(src);
+        incr kept
+      end
+    done;
+    t.q_len <- !kept
   end
 
 let unlink t vpage =
@@ -155,27 +200,38 @@ let unlink t vpage =
 
 let pop_queued t =
   drop_stale t;
-  let e = Deque.pop_front t.q in
-  if e.e_vpage >= 0 then unlink t e.e_vpage;
-  e.e_vpage
+  if t.q_len = 0 then -1
+  else begin
+    let vpage = t.q_vpage.(t.q_head) in
+    t.q_head <- slot t 1;
+    t.q_len <- t.q_len - 1;
+    unlink t vpage;
+    vpage
+  end
 
 let queued t =
-  List.rev
-    (Deque.fold
-       (fun acc e -> if is_live t e then e.e_vpage :: acc else acc)
-       [] t.q)
+  let acc = ref [] in
+  for i = t.q_len - 1 downto 0 do
+    let s = slot t i in
+    if is_live t s then acc := t.q_vpage.(s) :: !acc
+  done;
+  !acc
 
 let queue_length t = t.live
 
 let abort_queued t =
   let n = t.live in
-  Deque.iter (fun e -> if is_live t e then unlink t e.e_vpage) t.q;
-  Deque.clear t.q;
+  for i = 0 to t.q_len - 1 do
+    let s = slot t i in
+    if is_live t s then unlink t t.q_vpage.(s)
+  done;
+  t.q_head <- 0;
+  t.q_len <- 0;
   n
 
 let remove_queued t vpage =
   if queued_mem t vpage then begin
-    (* Lazy deletion: the slot stays in the deque and is skipped once it
+    (* Lazy deletion: the slot stays in the ring and is skipped once it
        reaches the head (or the next compaction, whichever comes first). *)
     unlink t vpage;
     maybe_compact t;
@@ -183,24 +239,12 @@ let remove_queued t vpage =
   end
   else false
 
-let rec abort_pages t n = function
-  | [] -> n
-  | vpage :: rest ->
-    abort_pages t (if remove_queued t vpage then n + 1 else n) rest
-
-let abort_queued_pages t pages = abort_pages t 0 pages
-
-let abort_queued_where t pred =
-  let n = ref 0 in
-  Deque.iter
-    (fun e ->
-      if is_live t e && pred e.e_vpage then begin
-        unlink t e.e_vpage;
-        incr n
-      end)
-    t.q;
-  maybe_compact t;
-  !n
+let abort_queued_pages t pages n =
+  let dropped = ref 0 in
+  for i = 0 to n - 1 do
+    if remove_queued t pages.(i) then incr dropped
+  done;
+  !dropped
 
 (* ------------------------------------------------------------------ *)
 (* Fleet arbiter: contention across co-tenant channels                  *)

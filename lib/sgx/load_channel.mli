@@ -10,22 +10,25 @@
     {!Enclave} facade decides when loads start and what happens on
     completion.
 
-    The pending-preload FIFO is an indexed deque: a ring-buffer deque of
-    [(vpage, queued_at)] slots plus a per-page membership bitset and live
-    sequence-number array.  Removals are lazy (the slot is invalidated in
-    place and discarded when it reaches the head), so [queued_mem],
-    [remove_queued], [pop_queued] and [next_queued] are O(1) amortized and
-    [abort_queued_pages] is O(k) in the aborted set — the whole
-    speculative-load path costs constant time per access regardless of
-    queue depth.  Stale slots that never reach the head are reclaimed by
-    compaction: once they outnumber both a small floor and the live
-    entries, the deque is rebuilt from the live slots (relative order
-    kept), bounding the physical queue at O(live) between rebuilds.
+    The pending-preload FIFO is an indexed ring: a power-of-two ring of
+    three int columns (page, enqueue time, sequence number) plus a
+    per-page membership bitset and live sequence-number array.  Removals
+    are lazy (the slot is invalidated in place and discarded when it
+    reaches the head), so [queued_mem], [remove_queued], [pop_queued] and
+    [next_queued_vpage] are O(1) amortized and [abort_queued_pages] is
+    O(k) in the aborted set — the whole speculative-load path costs
+    constant time per access regardless of queue depth.  Stale slots that
+    never reach the head are reclaimed by compaction: once they outnumber
+    both a small floor and the live entries, the live slots slide to the
+    head in place (relative order kept), bounding the ring at O(live)
+    between passes.
 
-    Nothing on the per-access path allocates: the in-flight load is held
-    as plain int fields of the channel (read through {!in_flight_vpage},
-    {!in_flight_kind} and {!in_flight_finishes}), and the FIFO head is
-    peeked and popped as bare ints, with [-1] standing for "none". *)
+    Nothing on the per-access path allocates: a queued preload is three
+    int stores into the ring (which grows, by doubling, only past its
+    largest depth so far), the in-flight load is held as plain int fields
+    of the channel (read through {!in_flight_vpage}, {!in_flight_kind}
+    and {!in_flight_finishes}), and the FIFO head is peeked and popped as
+    bare ints, with [-1] standing for "none". *)
 
 type kind =
   | Demand  (** Load servicing an actual fault. *)
@@ -103,7 +106,7 @@ val queue_length : t -> int
 (** Live (still pending) entries. *)
 
 val physical_length : t -> int
-(** Slots actually held in the deque, including lazily-deleted ones —
+(** Slots actually held in the ring, including lazily-deleted ones —
     [>= queue_length].  Compaction keeps this bounded by
     [max (2 * queue_length) constant]; exposed so tests can lock the
     bound. *)
@@ -113,15 +116,11 @@ val abort_queued : t -> int
     dropped.  The in-flight load, if any, is untouched — it cannot be
     preempted. *)
 
-val abort_queued_where : t -> (int -> bool) -> int
-(** Drop pending preloads whose vpage satisfies the predicate; returns the
-    number dropped.  O(queue); prefer {!abort_queued_pages} when the pages
-    are known. *)
-
-val abort_queued_pages : t -> int list -> int
-(** Drop the listed pages from the pending FIFO (pages not queued are
-    ignored); returns the number dropped.  O(k) in the list length — the
-    per-stream abort path. *)
+val abort_queued_pages : t -> int array -> int -> int
+(** [abort_queued_pages t pages n] drops the first [n] entries of
+    [pages] from the pending FIFO, in order (pages not queued are
+    ignored); returns the number dropped.  O(n) — the per-stream abort
+    path. *)
 
 val remove_queued : t -> int -> bool
 (** Drop one specific pending page (demand load took over); [false] if it

@@ -257,9 +257,8 @@ let make_instance ?epc ?owner ~(spec : Spec.t) ~(trace : Trace.t) scheme =
         | Enclave.Waited_in_flight -> h_waited
         | Enclave.Demand_load -> h_demand
       in
-      Histogram.add h
-        (float_of_int
-           (ctx.handled_at - ctx.raised_at + costs.Cost_model.t_eresume)));
+      Histogram.add_int h
+        (ctx.handled_at - ctx.raised_at + costs.Cost_model.t_eresume));
   let sip_site =
     match (Scheme.sip_plan scheme, online) with
     | Some plan, _ -> Preload.Sip_instrumenter.site_predicate plan

@@ -368,7 +368,7 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
         | Some _ | None ->
           latencies.(!completed) <- float_of_int latency;
           incr completed;
-          Histogram.add latency_h (float_of_int latency);
+          Histogram.add_int latency_h latency;
           if latency > c.slo then incr slo_violations))
     arrivals;
   let results =

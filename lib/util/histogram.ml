@@ -8,9 +8,14 @@ type t = {
   mutable overflow : int;
   mutable total : int;
   mutable nans : int;
-  mutable max_seen : float;
-  mutable min_seen : float;
+  extrema : float array;
+      (* [| least; greatest |] real observation: a flat float array, so an
+         update stores the double in place where a float field of this
+         mixed record would box it. *)
 }
+
+let least = 0
+let greatest = 1
 
 let create ?(auto_expand = false) ~lo ~hi ~buckets () =
   if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
@@ -25,8 +30,7 @@ let create ?(auto_expand = false) ~lo ~hi ~buckets () =
     overflow = 0;
     total = 0;
     nans = 0;
-    max_seen = Float.neg_infinity;
-    min_seen = Float.infinity;
+    extrema = [| Float.infinity; Float.neg_infinity |];
   }
 
 (* Double the range in place: bucket pairs merge downwards, the top half
@@ -41,15 +45,18 @@ let expand t =
   t.width <- t.width *. 2.0;
   t.hi <- t.lo +. (t.width *. float_of_int n)
 
-let add t x =
+(* Inlined wherever it is called — into [add_int] here, and into callers
+   in other modules when the build inlines across modules — so [x] stays
+   an unboxed double: a caller's [float_of_int n] is never boxed. *)
+let[@inline always] add t x =
   t.total <- t.total + 1;
   (* nan compares false against every bound below, which used to drop it
      into bucket 0 via [int_of_float nan = 0]; quarantine it instead so
      the buckets and extrema describe only real observations. *)
   if Float.is_nan x then t.nans <- t.nans + 1
   else begin
-    if x > t.max_seen then t.max_seen <- x;
-    if x < t.min_seen then t.min_seen <- x;
+    if x > t.extrema.(greatest) then t.extrema.(greatest) <- x;
+    if x < t.extrema.(least) then t.extrema.(least) <- x;
     if x < t.lo then t.underflow <- t.underflow + 1
     else begin
       if t.auto_expand && Float.is_finite x then
@@ -64,6 +71,8 @@ let add t x =
       end
     end
   end
+
+let add_int t n = add t (float_of_int n)
 
 let count t = t.total
 let nan_count t = t.nans
@@ -80,8 +89,8 @@ let bucket_count t i =
 let underflow t = t.underflow
 let overflow t = t.overflow
 
-let max_observed t = if real_count t = 0 then Float.nan else t.max_seen
-let min_observed t = if real_count t = 0 then Float.nan else t.min_seen
+let max_observed t = if real_count t = 0 then Float.nan else t.extrema.(greatest)
+let min_observed t = if real_count t = 0 then Float.nan else t.extrema.(least)
 
 let bucket_range t i =
   if i < 0 || i >= Array.length t.counts then
@@ -126,8 +135,8 @@ let quantile t q =
   let q = Float.max 0.0 (Float.min 1.0 q) in
   let n = real_count t in
   if n = 0 then Float.nan
-  else if q = 0.0 then t.min_seen
-  else if q = 1.0 then t.max_seen
+  else if q = 0.0 then t.extrema.(least)
+  else if q = 1.0 then t.extrema.(greatest)
   else begin
     (* Find the bucket holding the ceil(q*n)-th smallest observation and
        interpolate linearly inside it; the result is exact to within one
@@ -135,8 +144,9 @@ let quantile t q =
        honest when the target falls in under/overflow (whose true spread
        the buckets do not record). *)
     let target = q *. float_of_int n in
-    let clamp v = Float.max t.min_seen (Float.min t.max_seen v) in
-    if target <= float_of_int t.underflow then t.min_seen
+    let lo_seen = t.extrema.(least) and hi_seen = t.extrema.(greatest) in
+    let clamp v = Float.max lo_seen (Float.min hi_seen v) in
+    if target <= float_of_int t.underflow then lo_seen
     else begin
       let cum = ref (float_of_int t.underflow) in
       let result = ref Float.nan in
@@ -153,7 +163,7 @@ let quantile t q =
              cum := !cum +. fc)
            t.counts
        with Exit -> ());
-      if Float.is_nan !result then t.max_seen else !result
+      if Float.is_nan !result then hi_seen else !result
     end
   end
 

@@ -23,6 +23,12 @@ val add : t -> float -> unit
     ({!nan_count}) rather than bucketed — it neither perturbs the
     buckets nor poisons {!min_observed}/{!max_observed}. *)
 
+val add_int : t -> int -> unit
+(** [add_int t n] records the observation [float_of_int n], exactly as
+    {!add} would, without allocating: the entry point for integer
+    measurements (fault latencies, request latencies in cycles) on the
+    per-event path. *)
+
 val count : t -> int
 (** Total observations, including under/overflow and nan. *)
 

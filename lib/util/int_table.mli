@@ -6,7 +6,7 @@
     from a plan or trace file far past the dense range) falls back to an
     int-specialised [Hashtbl], so every key works.
 
-    Like {!Deque}, the table is built around a [dummy] value: {!find}
+    The table is built around a [dummy] value: {!find}
     returns it for an unbound key instead of an option, so callers test
     the result with [==] against {!dummy}.  The dummy itself can never be
     bound, and values must not be floats, which physical equality cannot

@@ -72,29 +72,30 @@ let multi_stream ~site ~streams ~events_per_page ~compute ~jitter =
   if streams = [] then invalid_arg "Pattern.multi_stream: no streams";
   if events_per_page <= 0 then invalid_arg "Pattern.multi_stream: bad events_per_page";
   fun prng ->
-    (* Mutable cursors; the stream is single-consumption by contract. *)
-    let cursors =
-      Array.of_list
-        (List.map (fun (base, pages) -> ref (base, base + pages, 0)) streams)
-    in
-    let alive () =
-      Array.to_list cursors
-      |> List.filteri (fun _ c ->
-             let pos, limit, _ = !c in
-             pos < limit)
-      |> List.length
-    in
+    (* Int cursors per stream: the next page, the end, and the touches
+       already made on the page; [alive] counts the streams with pages
+       left.  Mutable, so the stream is single-consumption by contract.
+       A draw that lands on an exhausted stream is redrawn. *)
+    let n = List.length streams in
+    let pos = Array.of_list (List.map fst streams) in
+    let limit = Array.of_list (List.map (fun (base, pages) -> base + pages) streams) in
+    let touches = Array.make n 0 in
+    let alive = ref 0 in
+    Array.iteri (fun i p -> if p < limit.(i) then incr alive) pos;
     let rec next () =
-      if alive () = 0 then Seq.Nil
+      if !alive = 0 then Seq.Nil
       else begin
-        let i = Prng.int prng (Array.length cursors) in
-        let pos, limit, k = !(cursors.(i)) in
-        if pos >= limit then next ()
+        let i = Prng.int prng n in
+        let p = pos.(i) in
+        if p >= limit.(i) then next ()
         else begin
-          let acc = event prng ~site ~vpage:pos ~compute ~jitter in
-          cursors.(i) :=
-            (if k + 1 >= events_per_page then (pos + 1, limit, 0)
-             else (pos, limit, k + 1));
+          let acc = event prng ~site ~vpage:p ~compute ~jitter in
+          if touches.(i) + 1 >= events_per_page then begin
+            touches.(i) <- 0;
+            pos.(i) <- p + 1;
+            if p + 1 >= limit.(i) then decr alive
+          end
+          else touches.(i) <- touches.(i) + 1;
           Seq.Cons (acc, next)
         end
       end
@@ -206,43 +207,34 @@ let seq_list ts : t =
 let weighted_interleave weighted : t =
   if weighted = [] then empty
   else fun prng ->
+    (* Every child is started, in list order, before the first draw. *)
     let dispensers =
-      Array.of_list
-        (List.map (fun (w, t) -> (max 1 w, Seq.to_dispenser (t prng))) weighted)
+      Array.of_list (List.map (fun (_, t) -> Seq.to_dispenser (t prng)) weighted)
     in
-    let alive = Array.make (Array.length dispensers) true in
-    let total_weight () =
-      let sum = ref 0 in
-      Array.iteri (fun i (w, _) -> if alive.(i) then sum := !sum + w) dispensers;
-      !sum
-    in
-    let pick () =
-      let total = total_weight () in
-      if total = 0 then None
-      else begin
-        let target = Prng.int prng total in
-        let chosen = ref (-1) in
-        let acc = ref 0 in
-        Array.iteri
-          (fun i (w, _) ->
-            if alive.(i) && !chosen = -1 then begin
-              acc := !acc + w;
-              if target < !acc then chosen := i
-            end)
-          dispensers;
-        Some !chosen
-      end
-    in
+    let weights = Array.of_list (List.map (fun (w, _) -> max 1 w) weighted) in
+    let alive = Array.make (Array.length weights) true in
+    (* The live children's total weight, kept as children run dry. *)
+    let total = ref (Array.fold_left ( + ) 0 weights) in
     let rec next () =
-      match pick () with
-      | None -> Seq.Nil
-      | Some i -> (
-        let _, dispenser = dispensers.(i) in
-        match dispenser () with
+      if !total = 0 then Seq.Nil
+      else begin
+        (* The first live child whose cumulative weight exceeds the
+           draw. *)
+        let target = Prng.int prng !total in
+        let i = ref 0 in
+        let acc = ref (if alive.(0) then weights.(0) else 0) in
+        while target >= !acc do
+          incr i;
+          if alive.(!i) then acc := !acc + weights.(!i)
+        done;
+        let i = !i in
+        match dispensers.(i) () with
         | Some acc -> Seq.Cons (acc, next)
         | None ->
           alive.(i) <- false;
-          next ())
+          total := !total - weights.(i);
+          next ()
+      end
     in
     next
 

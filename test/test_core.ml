@@ -20,66 +20,91 @@ let checkb = Alcotest.(check bool)
 let predictor ?(len = 4) ?(ll = 4) ?detect_backward () =
   SP.create ?detect_backward ~stream_list_length:len ~load_length:ll ()
 
+let verdict =
+  Alcotest.testable
+    (fun fmt v ->
+      Format.pp_print_string fmt
+        (match v with
+        | SP.Extend -> "Extend"
+        | SP.Restart_within -> "Restart_within"
+        | SP.New_stream -> "New_stream"))
+    ( = )
+
+let check_verdict what expected got = Alcotest.check verdict what expected got
+
+(* What DFP preloads after an [Extend]: the LOADLENGTH pages past the
+   head's tail, in its direction, negative pages dropped. *)
+let predictions p =
+  let npn = SP.head_tail p and dir = SP.head_dir p in
+  List.filter
+    (fun q -> q >= 0)
+    (List.init (SP.load_length p) (fun i -> npn + (dir * (i + 1))))
+
+let head_pending p = List.init (SP.head_pending_count p) (SP.head_pending p)
+let dropped p = Array.to_list (Array.sub (SP.dropped p) 0 (SP.dropped_count p))
+
+(* Replace the head's pending pages, as a DFP refresh that kept none of
+   the old ones would. *)
+let set_head_pending p pages =
+  SP.truncate_head_pending p 0;
+  List.iter (SP.push_head_pending p) pages
+
+let tails p = List.map (fun (s : SP.stream) -> s.stpn) (SP.streams p)
+
 let test_first_fault_opens_stream () =
   let p = predictor () in
-  (match SP.on_fault p 10 with
-  | SP.New_stream { stream; replaced } ->
-    checki "tail" 10 stream.stpn;
-    checki "no direction yet" 0 stream.dir;
-    checkb "nothing replaced" true (replaced = None)
-  | _ -> Alcotest.fail "expected New_stream");
+  check_verdict "verdict" SP.New_stream (SP.on_fault p 10);
+  checki "tail" 10 (SP.head_tail p);
+  checki "no direction yet" 0 (SP.head_dir p);
+  checki "nothing replaced" 0 (SP.dropped_count p);
   checki "one stream" 1 (List.length (SP.streams p))
 
 let test_sequential_fault_extends () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
-  match SP.on_fault p 11 with
-  | SP.Extend { stream; predict } ->
-    checki "tail advanced" 11 stream.stpn;
-    checki "ascending" 1 stream.dir;
-    Alcotest.(check (list int)) "LOADLENGTH pages ahead" [ 12; 13; 14; 15 ] predict
-  | _ -> Alcotest.fail "expected Extend"
+  check_verdict "verdict" SP.Extend (SP.on_fault p 11);
+  checki "tail advanced" 11 (SP.head_tail p);
+  checki "ascending" 1 (SP.head_dir p);
+  Alcotest.(check (list int)) "LOADLENGTH pages ahead" [ 12; 13; 14; 15 ]
+    (predictions p);
+  checki "nothing dropped" 0 (SP.dropped_count p)
 
 let test_descending_stream_detected () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
-  match SP.on_fault p 9 with
-  | SP.Extend { stream; predict } ->
-    checki "descending" (-1) stream.dir;
-    Alcotest.(check (list int)) "downward predictions" [ 8; 7; 6; 5 ] predict
-  | _ -> Alcotest.fail "expected Extend"
+  check_verdict "verdict" SP.Extend (SP.on_fault p 9);
+  checki "descending" (-1) (SP.head_dir p);
+  Alcotest.(check (list int)) "downward predictions" [ 8; 7; 6; 5 ] (predictions p)
 
 let test_backward_detection_can_be_disabled () =
   let p = predictor ~detect_backward:false () in
   ignore (SP.on_fault p 10);
-  match SP.on_fault p 9 with
-  | SP.New_stream _ -> ()
-  | _ -> Alcotest.fail "descending fault must open a new stream"
+  check_verdict "descending fault must open a new stream" SP.New_stream
+    (SP.on_fault p 9)
 
 let test_direction_locks () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
   ignore (SP.on_fault p 11);
   (* Once ascending, 10 is not sequential any more. *)
-  match SP.on_fault p 10 with
-  | SP.New_stream _ -> ()
-  | _ -> Alcotest.fail "locked direction must not re-extend backwards"
+  check_verdict "locked direction must not re-extend backwards" SP.New_stream
+    (SP.on_fault p 10)
 
 let test_predictions_clamped_at_zero () =
   let p = predictor () in
   ignore (SP.on_fault p 2);
-  match SP.on_fault p 1 with
-  | SP.Extend { predict; _ } ->
-    Alcotest.(check (list int)) "no negative pages" [ 0 ] predict
-  | _ -> Alcotest.fail "expected Extend"
+  check_verdict "verdict" SP.Extend (SP.on_fault p 1);
+  Alcotest.(check (list int)) "no negative pages" [ 0 ] (predictions p)
 
 let test_lru_replacement () =
   let p = predictor ~len:2 () in
   ignore (SP.on_fault p 10);
+  set_head_pending p [ 11; 12 ];
   ignore (SP.on_fault p 50);
-  (match SP.on_fault p 90 with
-  | SP.New_stream { replaced = Some dead; _ } -> checki "LRU evicted" 10 dead.stpn
-  | _ -> Alcotest.fail "expected replacement");
+  check_verdict "verdict" SP.New_stream (SP.on_fault p 90);
+  Alcotest.(check (list int)) "LRU evicted" [ 90; 50 ] (tails p);
+  Alcotest.(check (list int)) "its pending pages dropped" [ 11; 12 ] (dropped p);
+  checki "the new stream starts empty" 0 (SP.head_pending_count p);
   checki "bounded" 2 (List.length (SP.streams p))
 
 let test_hit_promotes_stream () =
@@ -89,42 +114,34 @@ let test_hit_promotes_stream () =
   (* Extending the older stream must move it to the head: the next
      replacement victim is then 50, not 10's stream. *)
   ignore (SP.on_fault p 11);
-  match SP.on_fault p 90 with
-  | SP.New_stream { replaced = Some dead; _ } -> checki "newer got evicted" 50 dead.stpn
-  | _ -> Alcotest.fail "expected replacement"
+  check_verdict "verdict" SP.New_stream (SP.on_fault p 90);
+  Alcotest.(check (list int)) "newer got evicted" [ 90; 11 ] (tails p)
 
 let test_restart_within_pending_window () =
   let p = predictor () in
   ignore (SP.on_fault p 1);
-  let stream, _ =
-    match SP.on_fault p 2 with
-    | SP.Extend { stream; predict } ->
-      SP.set_pending stream predict;
-      (stream, predict)
-    | _ -> Alcotest.fail "expected Extend"
-  in
+  check_verdict "verdict" SP.Extend (SP.on_fault p 2);
+  set_head_pending p (predictions p);
+  ignore (SP.on_fault p 40);
   (* The paper's example: the fault skips to page 5 while 3..6 are still
-     pending -> abort them, restart the stream at 5. *)
-  match SP.on_fault p 5 with
-  | SP.Restart_within { stream = s; abort } ->
-    checkb "same stream" true (s == stream);
-    Alcotest.(check (list int)) "aborts the window" [ 3; 4; 5; 6 ] abort;
-    checki "restarted at the fault" 5 s.stpn;
-    checki "direction reset" 0 s.dir;
-    Alcotest.(check (list int)) "pending cleared" [] s.pending
-  | _ -> Alcotest.fail "expected Restart_within"
+     pending -> abort them, restart the stream at 5, which moves back to
+     the head. *)
+  check_verdict "verdict" SP.Restart_within (SP.on_fault p 5);
+  Alcotest.(check (list int)) "aborts the window" [ 3; 4; 5; 6 ] (dropped p);
+  checki "restarted at the fault" 5 (SP.head_tail p);
+  checki "direction reset" 0 (SP.head_dir p);
+  Alcotest.(check (list int)) "pending cleared" [] (head_pending p);
+  Alcotest.(check (list int)) "same two streams" [ 5; 40 ] (tails p)
 
 let test_restarted_stream_can_extend_again () =
   let p = predictor () in
   ignore (SP.on_fault p 1);
-  (match SP.on_fault p 2 with
-  | SP.Extend { stream; predict } -> SP.set_pending stream predict
-  | _ -> Alcotest.fail "expected Extend");
+  check_verdict "verdict" SP.Extend (SP.on_fault p 2);
+  set_head_pending p (predictions p);
   ignore (SP.on_fault p 5);
-  match SP.on_fault p 6 with
-  | SP.Extend { predict; _ } ->
-    Alcotest.(check (list int)) "resumes from the restart" [ 7; 8; 9; 10 ] predict
-  | _ -> Alcotest.fail "expected Extend"
+  check_verdict "verdict" SP.Extend (SP.on_fault p 6);
+  Alcotest.(check (list int)) "resumes from the restart" [ 7; 8; 9; 10 ]
+    (predictions p)
 
 let test_interleaved_streams_both_tracked () =
   let p = predictor ~len:4 () in
@@ -133,8 +150,7 @@ let test_interleaved_streams_both_tracked () =
   (* Faults alternate between two sequential regions; both must extend. *)
   let ok = ref true in
   List.iter
-    (fun npn ->
-      match SP.on_fault p npn with SP.Extend _ -> () | _ -> ok := false)
+    (fun npn -> if SP.on_fault p npn <> SP.Extend then ok := false)
     [ 101; 201; 102; 202; 103; 203 ];
   checkb "multi-stream" true !ok
 
@@ -142,7 +158,10 @@ let test_reset () =
   let p = predictor () in
   ignore (SP.on_fault p 1);
   SP.reset p;
-  checki "empty" 0 (List.length (SP.streams p))
+  checki "empty" 0 (List.length (SP.streams p));
+  Alcotest.check_raises "no head"
+    (Invalid_argument "Stream_predictor: empty stream list") (fun () ->
+      ignore (SP.head_tail p))
 
 let test_create_validation () =
   Alcotest.check_raises "bad list length"
@@ -167,8 +186,8 @@ let predictor_qcheck =
         List.for_all
           (fun f ->
             match SP.on_fault p f with
-            | SP.Extend { predict; _ } -> not (List.mem f predict)
-            | _ -> true)
+            | SP.Extend -> not (List.mem f (predictions p))
+            | SP.Restart_within | SP.New_stream -> true)
           faults);
     QCheck2.Test.make ~name:"predictions are contiguous from the fault" ~count:200
       QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 100))
@@ -177,13 +196,14 @@ let predictor_qcheck =
         List.for_all
           (fun f ->
             match SP.on_fault p f with
-            | SP.Extend { stream; predict } ->
-              let dir = stream.dir in
-              List.for_all2
-                (fun i pred -> pred = f + (dir * (i + 1)))
-                (List.init (List.length predict) Fun.id)
-                predict
-            | _ -> true)
+            | SP.Extend ->
+              let dir = SP.head_dir p in
+              SP.head_tail p = f
+              && List.for_all2
+                   (fun i pred -> pred = f + (dir * (i + 1)))
+                   (List.init (List.length (predictions p)) Fun.id)
+                   (predictions p)
+            | SP.Restart_within | SP.New_stream -> true)
           faults);
   ]
 
@@ -266,9 +286,11 @@ module Naive_predictor = struct
         end)
 end
 
-(* Random faults, each followed by a [set_pending] of a random subset of
-   the stream's pending pages plus its fresh predictions (the shape of
-   DFP's refresh), compared with the naive model after every step. *)
+(* Random faults, each followed by a refresh of the head's pending pages
+   in DFP's shape — a random subset of the old pages filtered in place,
+   then a random subset of the fresh predictions appended — compared with
+   the naive model after every step: the verdict, the head, the dropped
+   pages, the whole list and [covers]. *)
 let predictor_differential =
   let open QCheck2 in
   let gen =
@@ -295,34 +317,46 @@ let predictor_differential =
       in
       List.iteri
         (fun step (npn, mask) ->
-          let stream, model_entry, fresh =
+          let model_entry, fresh =
             match (SP.on_fault p npn, Naive_predictor.on_fault m npn) with
-            | SP.Extend { stream; predict }, Naive_predictor.Extend (e, mpredict)
-              ->
-              if predict <> mpredict then fail step "predict";
-              (stream, e, predict)
-            | ( SP.Restart_within { stream; abort },
-                Naive_predictor.Restart_within (e, mabort) ) ->
-              if abort <> mabort then fail step "abort";
-              (stream, e, [])
-            | ( SP.New_stream { stream; replaced },
-                Naive_predictor.New_stream (e, mreplaced) ) ->
-              if Option.map view replaced <> Option.map mview mreplaced then
-                fail step "replaced";
-              (stream, e, [])
-            | _ -> fail step "reaction"
+            | SP.Extend, Naive_predictor.Extend (e, mpredict) ->
+              if predictions p <> mpredict then fail step "predict";
+              if dropped p <> [] then fail step "dropped";
+              (e, mpredict)
+            | SP.Restart_within, Naive_predictor.Restart_within (e, mabort) ->
+              if dropped p <> mabort then fail step "dropped";
+              (e, [])
+            | SP.New_stream, Naive_predictor.New_stream (e, mreplaced) ->
+              let mdropped =
+                match mreplaced with
+                | None -> []
+                | Some (r : Naive_predictor.entry) -> r.pending
+              in
+              if dropped p <> mdropped then fail step "dropped";
+              (e, [])
+            | _ -> fail step "verdict"
           in
-          if view stream <> mview model_entry then fail step "stream";
-          (match SP.streams p with
-          | s :: _ when s == stream -> ()
-          | _ -> fail step "MRU head");
+          if (SP.head_tail p, SP.head_dir p, head_pending p) <> mview model_entry
+          then fail step "head";
           (* Keep the pages whose bit is set in [mask]. *)
-          let pending =
-            List.filteri (fun i _ -> (mask lsr i) land 1 = 1)
-              (stream.pending @ fresh)
-          in
-          SP.set_pending stream pending;
+          let bit i = (mask lsr i) land 1 = 1 in
+          let old = head_pending p in
+          let kept = ref 0 in
+          List.iteri
+            (fun i page ->
+              if bit i then begin
+                SP.set_head_pending p !kept page;
+                incr kept
+              end)
+            old;
+          SP.truncate_head_pending p !kept;
+          List.iteri
+            (fun j page ->
+              if bit (List.length old + j) then SP.push_head_pending p page)
+            fresh;
+          let pending = List.filteri (fun i _ -> bit i) (old @ fresh) in
           model_entry.pending <- pending;
+          if head_pending p <> pending then fail step "refreshed head";
           if List.map view (SP.streams p) <> List.map mview m.entries then
             fail step "streams";
           for page = -1 to 86 do
@@ -853,32 +887,27 @@ let test_window_fault_extends_stream () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
   ignore (SP.on_fault p 11);
-  match SP.on_fault p 16 with
-  | SP.Extend { stream; predict } ->
-    checki "tail jumps to the fault" 16 stream.stpn;
-    Alcotest.(check (list int)) "predicts onward" [ 17; 18; 19; 20 ] predict
-  | _ -> Alcotest.fail "window fault must extend"
+  check_verdict "window fault must extend" SP.Extend (SP.on_fault p 16);
+  checki "tail jumps to the fault" 16 (SP.head_tail p);
+  Alcotest.(check (list int)) "predicts onward" [ 17; 18; 19; 20 ] (predictions p)
 
 let test_beyond_window_opens_new_stream () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
   ignore (SP.on_fault p 11);
   (* LOADLENGTH+2 past the tail is outside the window. *)
-  match SP.on_fault p 17 with
-  | SP.New_stream _ -> ()
-  | _ -> Alcotest.fail "beyond the window is a new stream"
+  check_verdict "beyond the window is a new stream" SP.New_stream
+    (SP.on_fault p 17)
 
 let test_pending_beats_window () =
   (* A fault inside a window whose preloads are still queued is a skip
      (restart), even though the distance alone would say extend. *)
   let p = predictor () in
   ignore (SP.on_fault p 1);
-  (match SP.on_fault p 2 with
-  | SP.Extend { stream; predict } -> SP.set_pending stream predict
-  | _ -> Alcotest.fail "expected Extend");
-  match SP.on_fault p 4 with
-  | SP.Restart_within _ -> ()
-  | _ -> Alcotest.fail "pending check must run before the window check"
+  check_verdict "verdict" SP.Extend (SP.on_fault p 2);
+  set_head_pending p (predictions p);
+  check_verdict "pending check must run before the window check"
+    SP.Restart_within (SP.on_fault p 4)
 
 let test_dfp_per_thread_lists () =
   let e = Enclave.create ~epc_pages:32 ~elrange_pages:4096 () in

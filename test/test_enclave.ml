@@ -204,15 +204,21 @@ let test_abort_pending () =
   checkb "aborted never load" false (Enclave.page_present e 2);
   checkb "in-flight survived" true (Enclave.page_present e 1)
 
-let test_abort_where () =
+let test_abort_pages () =
   let e = make () in
-  ignore (Enclave.request_preload e ~now:0 1);
-  ignore (Enclave.request_preload e ~now:0 2);
-  ignore (Enclave.request_preload e ~now:0 3);
+  List.iter (fun p -> ignore (Enclave.request_preload e ~now:0 p)) [ 1; 2; 3; 4 ];
   Enclave.sync e ~now:10;
+  (* Page 1 is in flight, so of the first three entries only 3 is
+     queued; the 4 past the given length is not looked at. *)
   checki "one dropped" 1
-    (Enclave.abort_pending_preloads_where e ~now:10 (fun p -> p = 3));
-  Alcotest.(check (list int)) "page 2 still queued" [ 2 ] (Enclave.pending_preloads e)
+    (Enclave.abort_pending_preloads_pages e ~now:10 [| 3; 1; 9; 4 |] 3);
+  checki "metric" 1 (Enclave.metrics e).preloads_aborted;
+  Alcotest.(check (list int)) "pages 2 and 4 still queued" [ 2; 4 ]
+    (Enclave.pending_preloads e);
+  (* Nothing to drop still syncs: the in-flight load lands. *)
+  checki "none dropped" 0
+    (Enclave.abort_pending_preloads_pages e ~now:(3 * load) [| 3 |] 1);
+  checkb "synced" true (Enclave.page_present e 1)
 
 let test_faulting_page_pinned_against_preload_eviction () =
   (* A preload issued from the fault handler must not evict the page the
@@ -299,14 +305,19 @@ let test_on_scan_hook_fires () =
 let test_on_fault_context () =
   let e = make () in
   let seen = ref [] in
-  Enclave.set_on_fault e (fun _ ctx -> seen := ctx :: !seen);
+  (* The context is the enclave's own, refilled per fault: a hook copies
+     what it needs. *)
+  Enclave.set_on_fault e (fun _ (ctx : Enclave.fault_ctx) ->
+      seen :=
+        (ctx.fault_vpage, ctx.raised_at, ctx.handled_at, ctx.resolution)
+        :: !seen);
   ignore (Enclave.access e ~now:100 6);
   match !seen with
-  | [ ctx ] ->
-    checki "page" 6 ctx.Enclave.fault_vpage;
-    checki "raised at call time" 100 ctx.raised_at;
-    checki "handled when load done" (100 + aex + load) ctx.handled_at;
-    checkb "demand resolution" true (ctx.resolution = Enclave.Demand_load)
+  | [ (vpage, raised_at, handled_at, resolution) ] ->
+    checki "page" 6 vpage;
+    checki "raised at call time" 100 raised_at;
+    checki "handled when load done" (100 + aex + load) handled_at;
+    checkb "demand resolution" true (resolution = Enclave.Demand_load)
   | _ -> Alcotest.fail "expected exactly one fault"
 
 let test_on_fault_can_preload () =
@@ -620,7 +631,7 @@ let () =
           tc "queue frozen during fault" test_queue_frozen_during_fault;
           tc "demand takes over queued page" test_demand_takes_over_queued_page;
           tc "abort pending" test_abort_pending;
-          tc "abort where" test_abort_where;
+          tc "abort pages" test_abort_pages;
           tc "takeover counted" test_preload_taken_over_counted;
           tc "sip takeover counted" test_sip_takeover_counted;
           tc "skipped counted" test_preload_skipped_counted;

@@ -446,7 +446,7 @@ let test_channel_queue_fifo () =
 let test_channel_abort () =
   let ch = Load_channel.create ~pages:4096 in
   List.iter (fun v -> Load_channel.queue_preload ch ~vpage:v ~at:0) [ 1; 2; 3; 4 ];
-  checki "selective abort" 2 (Load_channel.abort_queued_where ch (fun v -> v mod 2 = 0));
+  checki "selective abort" 2 (Load_channel.abort_queued_pages ch [| 2; 4 |] 2);
   Alcotest.(check (list int)) "left" [ 1; 3 ] (Load_channel.queued ch);
   checki "full abort" 2 (Load_channel.abort_queued ch);
   checki "empty" 0 (Load_channel.queue_length ch)
@@ -486,12 +486,12 @@ let test_channel_duplicate_queue_rejected () =
   checki "still one entry" 1 (Load_channel.queue_length ch)
 
 let test_channel_fifo_across_interleavings () =
-  (* remove_queued (demand take-over), abort_queued_where and pop must
+  (* remove_queued (demand take-over), abort_queued_pages and pop must
      leave the survivors in exact insertion order. *)
   let ch = Load_channel.create ~pages:64 in
   List.iter (fun v -> Load_channel.queue_preload ch ~vpage:v ~at:v) [ 1; 2; 3; 4; 5; 6 ];
   checkb "take-over of 2" true (Load_channel.remove_queued ch 2);
-  checki "abort odd pages > 4" 1 (Load_channel.abort_queued_where ch (fun v -> v > 4 && v mod 2 = 1));
+  checki "abort 5 (2 is gone)" 1 (Load_channel.abort_queued_pages ch [| 5; 2 |] 2);
   Alcotest.(check (list int)) "order" [ 1; 3; 4; 6 ] (Load_channel.queued ch);
   (* Pop walks over the lazily-deleted slots without disturbing order. *)
   Alcotest.(check (option (pair int int))) "head" (Some (1, 1)) (pop ch);
@@ -519,10 +519,13 @@ let test_channel_abort_pages () =
   let ch = Load_channel.create ~pages:64 in
   List.iter (fun v -> Load_channel.queue_preload ch ~vpage:v ~at:0) [ 1; 2; 3; 4 ];
   (* Unqueued and out-of-range pages are ignored, not errors. *)
-  checki "two dropped" 2 (Load_channel.abort_queued_pages ch [ 2; 4; 40; -1; 2 ]);
-  Alcotest.(check (list int)) "survivors in order" [ 1; 3 ] (Load_channel.queued ch)
+  checki "two dropped" 2 (Load_channel.abort_queued_pages ch [| 2; 4; 40; -1; 2 |] 5);
+  Alcotest.(check (list int)) "survivors in order" [ 1; 3 ] (Load_channel.queued ch);
+  (* Only the first [n] entries count. *)
+  checki "prefix only" 1 (Load_channel.abort_queued_pages ch [| 3; 1 |] 1);
+  Alcotest.(check (list int)) "1 survives" [ 1 ] (Load_channel.queued ch)
 
-(* The reference model: the pre-deque list-backed queue (exact old
+(* The reference model: the original list-backed queue (exact old
    semantics — removals splice the list, duplicates are the caller's
    job).  The differential test drives both implementations with the
    same random operation stream and checks full observational equality
@@ -553,17 +556,12 @@ module Ref_queue = struct
     m.q <- [];
     n
 
-  let abort_where m pred =
-    let before = List.length m.q in
-    m.q <- List.filter (fun (p, _) -> not (pred p)) m.q;
-    before - List.length m.q
-
   let queued m = List.map fst m.q
   let length m = List.length m.q
 end
 
 (* The compaction invariant: lazy deletion may leave stale slots in the
-   deque, but never more than [max 64 live] of them — so physical length
+   ring, but never more than [max 64 live] of them — so physical length
    is bounded by [live + max 64 live] after every public operation. *)
 let check_compaction_bound ctx ch =
   let live = Load_channel.queue_length ch in
@@ -573,9 +571,9 @@ let check_compaction_bound ctx ch =
       (max 64 live)
 
 let test_channel_compaction_bounds_deque () =
-  (* Regression for unbounded deque growth: queue pages and abort them
+  (* Regression for unbounded ring growth: queue pages and abort them
      via lazy removal, never popping the head — [drop_stale] alone would
-     never reclaim anything.  Without compaction the deque grows by one
+     never reclaim anything.  Without compaction the ring grows by one
      slot per queue/remove round forever. *)
   let pages = 4096 in
   let ch = Load_channel.create ~pages in
@@ -597,10 +595,9 @@ let test_channel_compaction_bounds_deque () =
   let survivors = List.init 40 (fun i -> 4000 + i) in
   List.iteri (fun i v -> Load_channel.queue_preload ch ~vpage:v ~at:i) survivors;
   for round = 0 to 999 do
-    let batch = List.init 8 (fun i -> (round * 8 + i) mod 3000) in
-    List.iter (fun v -> Load_channel.queue_preload ch ~vpage:v ~at:round) batch;
-    checki "batch dropped" 8
-      (Load_channel.abort_queued_where ch (fun p -> p < 3000));
+    let batch = Array.init 8 (fun i -> (round * 8 + i) mod 3000) in
+    Array.iter (fun v -> Load_channel.queue_preload ch ~vpage:v ~at:round) batch;
+    checki "batch dropped" 8 (Load_channel.abort_queued_pages ch batch 8);
     check_compaction_bound (Printf.sprintf "abort round %d" round) ch
   done;
   Alcotest.(check (list int))
@@ -646,30 +643,103 @@ let test_channel_differential_random () =
       checkb
         (Printf.sprintf "step %d: remove p%d" step v)
         (Ref_queue.remove rf v) (Load_channel.remove_queued ch v)
-    | k when k < 94 ->
-      let m = 2 + Repro_util.Prng.int prng 3 in
-      let r = Repro_util.Prng.int prng m in
-      let pred p = p mod m = r in
-      checki
-        (Printf.sprintf "step %d: abort_where" step)
-        (Ref_queue.abort_where rf pred)
-        (Load_channel.abort_queued_where ch pred)
     | k when k < 98 ->
-      let batch = List.init 3 (fun _ -> Repro_util.Prng.int prng pages) in
-      (* The list form removes page-by-page; mirror that on the model so
-         duplicate batch entries count identically. *)
-      let expect =
-        List.fold_left (fun n v -> if Ref_queue.remove rf v then n + 1 else n) 0 batch
+      (* A selective abort: a prefix of the pages of one residue class,
+         or of a random batch, which may repeat pages.  The channel
+         removes page by page; mirror that on the model so duplicate
+         entries count identically. *)
+      let batch =
+        if k < 94 then begin
+          let m = 2 + Repro_util.Prng.int prng 3 in
+          let r = Repro_util.Prng.int prng m in
+          Array.of_list (List.filter (fun p -> p mod m = r) (List.init pages Fun.id))
+        end
+        else Array.init 3 (fun _ -> Repro_util.Prng.int prng pages)
       in
+      let n = Repro_util.Prng.int prng (Array.length batch + 1) in
+      let expect = ref 0 in
+      for i = 0 to n - 1 do
+        if Ref_queue.remove rf batch.(i) then incr expect
+      done;
       checki
         (Printf.sprintf "step %d: abort_pages" step)
-        expect
-        (Load_channel.abort_queued_pages ch batch)
+        !expect
+        (Load_channel.abort_queued_pages ch batch n)
     | _ ->
       checki (Printf.sprintf "step %d: abort" step) (Ref_queue.abort rf)
         (Load_channel.abort_queued ch));
     agree step
   done
+
+(* The ring's edge cases against the same model, scripted: the ring
+   wraps, then grows while its head is mid-ring, then compacts in place
+   while wrapped, and every survivor keeps its FIFO place throughout. *)
+let test_channel_ring_wrap_grow_compact () =
+  let ch = Load_channel.create ~pages:1024 in
+  let rf = Ref_queue.create () in
+  let at = ref 0 in
+  let queue v =
+    incr at;
+    Load_channel.queue_preload ch ~vpage:v ~at:!at;
+    Ref_queue.queue rf ~vpage:v ~at:!at
+  in
+  let agree what =
+    Alcotest.(check (list int)) (what ^ ": queued") (Ref_queue.queued rf)
+      (Load_channel.queued ch);
+    Alcotest.(check (option (pair int int))) (what ^ ": head") (Ref_queue.next rf)
+      (head ch);
+    check_compaction_bound what ch
+  in
+  let pop_both what =
+    Alcotest.(check (option (pair int int))) (what ^ ": pop") (Ref_queue.pop rf)
+      (pop ch)
+  in
+  (* The ring starts at 8 slots: move the head to slot 5, then wrap. *)
+  List.iter queue [ 0; 1; 2; 3; 4; 5 ];
+  for _ = 1 to 5 do
+    pop_both "advance the head"
+  done;
+  List.iter queue [ 10; 11; 12; 13; 14; 15; 16 ];
+  checki "full ring" 8 (Load_channel.physical_length ch);
+  agree "wrapped";
+  (* A removal leaves a stale slot mid-ring, then the ninth slot grows
+     the ring with its head mid-ring. *)
+  checkb "take-over" true (Load_channel.remove_queued ch 12);
+  ignore (Ref_queue.remove rf 12);
+  List.iter queue [ 17; 18; 19 ];
+  checki "the stale slot is still held" 11 (Load_channel.physical_length ch);
+  agree "grown";
+  (* Grow to 256 slots, move the head past the middle, wrap again
+     without growing, then remove pages behind the head until the stale
+     slots pass the floor and the live count: the ring compacts in place
+     while wrapped. *)
+  for v = 100 to 339 do
+    queue v
+  done;
+  for _ = 1 to 150 do
+    pop_both "advance again"
+  done;
+  for v = 400 to 499 do
+    queue v
+  done;
+  checki "wrapped, not grown" 200 (Load_channel.physical_length ch);
+  agree "wrapped again";
+  let compacted = ref false in
+  List.iter
+    (fun v ->
+      if v mod 8 <> 0 then begin
+        let before = Load_channel.physical_length ch in
+        checkb "removed" (Ref_queue.remove rf v) (Load_channel.remove_queued ch v);
+        if Load_channel.physical_length ch < before then compacted := true;
+        agree (Printf.sprintf "removed %d" v)
+      end)
+    (List.init 99 (fun i -> 241 + i) @ List.init 100 (fun i -> 400 + i));
+  checkb "compaction ran" true !compacted;
+  while Ref_queue.length rf > 0 do
+    pop_both "drain"
+  done;
+  agree "drained";
+  checki "empty" 0 (Load_channel.physical_length ch)
 
 let channel_qcheck =
   [
@@ -865,8 +935,8 @@ let test_alloc_resident_access () =
 
 let test_alloc_demand_fault () =
   (* 900 pages cycled through 64 frames: every access is a demand fault
-     that evicts.  With the null log and no hooks installed, the one
-     allocation left is the [fault_ctx] handed to the (no-op) hook. *)
+     that evicts.  With the null log and the default no-op hook, the
+     fault context is the enclave's own and nothing is allocated. *)
   let pages = 900 in
   let e = Enclave.create ~epc_pages:64 ~elrange_pages:pages () in
   let now = ref 0 in
@@ -883,7 +953,138 @@ let test_alloc_demand_fault () =
   let m = Enclave.metrics e in
   checki "every access faulted" (pages + n) (Sgxsim.Metrics.total_faults m);
   checkb "and evicted" true (m.evictions >= n);
-  check_words "demand fault" ~at_most:10.0 words
+  check_words "demand fault" ~at_most:0.01 words
+
+(* A preload-abort storm over interleaved streams, in the shape of
+   perfbench's queue-stress: 24 sequential streams picked at random,
+   each access stepping 5 pages on (the edge of the stream's sequential
+   window: an extension), or 1 or 2 pages one time in 8 (inside its
+   pending window: a restart), and one access in 40 a far page that
+   opens a stream, so idle streams fall off the list with their windows
+   still queued.  No compute between accesses, so the preload queue
+   stays hundreds deep. *)
+let storm_region = 4096
+let storm_streams = 24
+
+let storm_pages n =
+  let prng = Repro_util.Prng.create 18 in
+  let cursor = Array.make storm_streams 0 in
+  Array.init n (fun _ ->
+      if Repro_util.Prng.int prng 40 = 0 then
+        (storm_streams * storm_region) + Repro_util.Prng.int prng storm_region
+      else begin
+        let s = Repro_util.Prng.int prng storm_streams in
+        let step = match Repro_util.Prng.int prng 16 with 0 -> 1 | 1 -> 2 | _ -> 5 in
+        cursor.(s) <- (cursor.(s) + step) mod storm_region;
+        (s * storm_region) + cursor.(s)
+      end)
+
+let test_alloc_dfp_fault () =
+  let pages = storm_pages 40_000 in
+  let e =
+    Enclave.create ~epc_pages:256
+      ~elrange_pages:((storm_streams + 1) * storm_region)
+      ()
+  in
+  let dfp = Preload.Dfp.attach e Preload.Dfp.default_config in
+  let p = Preload.Dfp.predictor dfp in
+  (* The verdict of each fault, read back from the predictor after DFP
+     reacted (allocation-free reads): an extension sets a direction; a
+     restart drops a window holding the faulted page; a replacement
+     drops the LRU stream's window, which cannot hold it.  And the least
+     queue depth a fault sees. *)
+  let extends = ref 0 and restarts = ref 0 and replacements = ref 0 in
+  let min_depth = ref max_int in
+  Enclave.add_on_fault e (fun enc (ctx : Enclave.fault_ctx) ->
+      let module SP = Preload.Stream_predictor in
+      if SP.head_dir p <> 0 then incr extends
+      else begin
+        let dropped = SP.dropped p in
+        let hit = ref false in
+        for i = 0 to SP.dropped_count p - 1 do
+          if dropped.(i) = ctx.fault_vpage then hit := true
+        done;
+        if !hit then incr restarts
+        else if SP.dropped_count p > 0 then incr replacements
+      end;
+      min_depth := Int.min !min_depth (Enclave.pending_preload_count enc));
+  let now = ref 0 in
+  let replay lo hi =
+    for i = lo to hi - 1 do
+      now := Enclave.access e ~now:!now pages.(i)
+    done
+  in
+  (* Warm up on the first half, so the ring and the pending rows have
+     reached their depth, then measure the second. *)
+  let half = Array.length pages / 2 in
+  replay 0 half;
+  min_depth := max_int;
+  let faults0 = Sgxsim.Metrics.total_faults (Enclave.metrics e) in
+  let w0 = Gc.minor_words () in
+  replay half (Array.length pages);
+  let words = Gc.minor_words () -. w0 in
+  let faults = Sgxsim.Metrics.total_faults (Enclave.metrics e) - faults0 in
+  checkb "measured faults" true (faults > 15_000);
+  checkb "extensions" true (!extends > 10_000);
+  checkb "restarts" true (!restarts > 1000);
+  checkb "replacements with a queued window" true (!replacements > 20);
+  checkb "the queue stays hundreds deep" true (!min_depth >= 100);
+  check_words "DFP fault" ~at_most:0.01 (words /. float_of_int faults)
+
+(* Words per fault of a warm sequential sweep, cycled over 900 pages
+   through 64 frames, with the prefetcher [attach] installs preloading
+   ahead of it. *)
+let sweep_words attach =
+  let pages = 900 in
+  let e = Enclave.create ~epc_pages:64 ~elrange_pages:pages () in
+  attach e;
+  let now = ref 0 in
+  let next = ref 0 in
+  let step () =
+    now := Enclave.access e ~now:!now !next;
+    next := (!next + 1) mod pages
+  in
+  for _ = 1 to 2 * pages do
+    step ()
+  done;
+  let m = Enclave.metrics e in
+  let faults0 = Sgxsim.Metrics.total_faults m in
+  let preloads0 = m.preloads_issued in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 * pages do
+    step ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let faults = Sgxsim.Metrics.total_faults m - faults0 in
+  checkb "faults" true (faults > pages);
+  checkb "preloads" true (m.preloads_issued - preloads0 > pages);
+  words /. float_of_int faults
+
+let test_alloc_next_line_fault () =
+  check_words "next-line(4) fault" ~at_most:0.01
+    (sweep_words (fun e ->
+         ignore (Preload.Prefetch_baselines.attach_next_line e ~degree:4)))
+
+let test_alloc_stride_fault () =
+  check_words "stride(4) fault" ~at_most:0.01
+    (sweep_words (fun e ->
+         ignore (Preload.Prefetch_baselines.attach_stride e ~degree:4)))
+
+let test_alloc_histogram_add_int () =
+  let h =
+    Repro_util.Histogram.create ~auto_expand:true ~lo:0.0 ~hi:1000.0
+      ~buckets:32 ()
+  in
+  (* The bucket range doubles up to the largest value first. *)
+  Repro_util.Histogram.add_int h 4999;
+  let x = ref 0 in
+  let words =
+    words_per_call 10_000 (fun () ->
+        x := (!x + 7919) mod 5000;
+        Repro_util.Histogram.add_int h !x)
+  in
+  checki "counted" 10_001 (Repro_util.Histogram.count h);
+  check_words "Histogram.add_int" ~at_most:0.01 words
 
 let test_alloc_lru_touch_resident () =
   let l = Preload.Page_lru.create ~capacity:8 ~pages:1024 in
@@ -1070,6 +1271,8 @@ let () =
             test_channel_requeue_after_removal_goes_to_tail;
           tc "abort pages" test_channel_abort_pages;
           tc "compaction bounds the deque" test_channel_compaction_bounds_deque;
+          tc "ring wraps, grows mid-ring and compacts"
+            test_channel_ring_wrap_grow_compact;
           tc "differential vs list model" test_channel_differential_random;
           tc "arbiter fifo + solo identity" test_arbiter_fifo_and_solo_identity;
           tc "arbiter penalties do not compound"
@@ -1080,7 +1283,11 @@ let () =
         [
           tc "channel head probe allocates nothing" test_alloc_channel_head_probe;
           tc "resident access allocates nothing" test_alloc_resident_access;
-          tc "demand fault allocates at most 10 words" test_alloc_demand_fault;
+          tc "demand fault allocates nothing" test_alloc_demand_fault;
+          tc "DFP fault under a deep queue allocates nothing" test_alloc_dfp_fault;
+          tc "next-line fault allocates nothing" test_alloc_next_line_fault;
+          tc "stride fault allocates nothing" test_alloc_stride_fault;
+          tc "int histogram add allocates nothing" test_alloc_histogram_add_int;
           tc "LRU touch of a resident page allocates nothing"
             test_alloc_lru_touch_resident;
           tc "LRU touch that evicts allocates nothing"

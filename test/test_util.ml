@@ -480,6 +480,36 @@ let histogram_qcheck =
            = List.fold_left Float.max Float.neg_infinity xs);
   ]
 
+(* [add_int n] must be [add (float_of_int n)] to every reader: the
+   runner's fault latencies and the service's request latencies moved to
+   the int entry point, and their digests must not notice. *)
+let histogram_int_qcheck =
+  [
+    QCheck2.Test.make ~name:"add_int equals add of the float" ~count:300
+      QCheck2.Gen.(
+        pair bool (list_size (int_range 0 80) (int_range (-50) 5000)))
+      (fun (auto_expand, xs) ->
+        let make () =
+          Histogram.create ~auto_expand ~lo:0.0 ~hi:1000.0 ~buckets:16 ()
+        in
+        let hi = make () and hf = make () in
+        List.iter (Histogram.add_int hi) xs;
+        List.iter (fun x -> Histogram.add hf (float_of_int x)) xs;
+        let same_float a b = (Float.is_nan a && Float.is_nan b) || a = b in
+        Histogram.count hi = Histogram.count hf
+        && Histogram.underflow hi = Histogram.underflow hf
+        && Histogram.overflow hi = Histogram.overflow hf
+        && List.for_all
+             (fun i ->
+               Histogram.bucket_count hi i = Histogram.bucket_count hf i
+               && Histogram.bucket_range hi i = Histogram.bucket_range hf i)
+             (List.init 16 Fun.id)
+        && same_float (Histogram.max_observed hi) (Histogram.max_observed hf)
+        && same_float (Histogram.min_observed hi) (Histogram.min_observed hf)
+        && same_float (Histogram.mean hi) (Histogram.mean hf)
+        && same_float (Histogram.quantile hi 0.9) (Histogram.quantile hf 0.9));
+  ]
+
 let test_histogram_observed_extremes () =
   let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 () in
   checkb "empty max is nan" true (Float.is_nan (Histogram.max_observed h));
@@ -496,70 +526,6 @@ let test_histogram_observed_extremes () =
   checkf "underflow min exact" (-2.0) (Histogram.min_observed h);
   checki "overflow counted" 1 (Histogram.overflow h);
   checki "underflow counted" 1 (Histogram.underflow h)
-
-(* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Deque = Repro_util.Deque
-
-let test_deque_basics () =
-  let d = Deque.create ~dummy:(-1) () in
-  checkb "empty" true (Deque.is_empty d);
-  checki "front of empty is the dummy" (-1) (Deque.front d);
-  checki "pop of empty is the dummy" (-1) (Deque.pop_front d);
-  checki "pop of empty changes nothing" 0 (Deque.length d);
-  List.iter (Deque.push_back d) [ 1; 2; 3 ];
-  checki "length" 3 (Deque.length d);
-  checki "front" 1 (Deque.front d);
-  check Alcotest.(list int) "to_list" [ 1; 2; 3 ] (Deque.to_list d);
-  checki "pop" 1 (Deque.pop_front d);
-  check Alcotest.(list int) "after pop" [ 2; 3 ] (Deque.to_list d);
-  Deque.clear d;
-  checkb "cleared" true (Deque.is_empty d)
-
-let test_deque_growth_wraps () =
-  (* Interleave pushes and pops so head walks around the ring, then grow
-     past the initial capacity while wrapped. *)
-  let d = Deque.create ~capacity:4 ~dummy:(-1) () in
-  for i = 0 to 2 do
-    Deque.push_back d i
-  done;
-  checki "pop 0" 0 (Deque.pop_front d);
-  checki "pop 1" 1 (Deque.pop_front d);
-  for i = 3 to 12 do
-    Deque.push_back d i
-  done;
-  checki "length" 11 (Deque.length d);
-  check Alcotest.(list int) "order across growth" (List.init 11 (fun i -> i + 2))
-    (Deque.to_list d);
-  checki "fold sum" (List.fold_left ( + ) 0 (List.init 11 (fun i -> i + 2)))
-    (Deque.fold ( + ) 0 d)
-
-let deque_qcheck =
-  [
-    QCheck2.Test.make ~name:"deque behaves like a FIFO list" ~count:300
-      QCheck2.Gen.(list (option small_int))
-      (fun ops ->
-        (* [Some x] = push x, [None] = pop; compare against a list model.
-           Pushed values are non-negative, so the dummy marks "empty". *)
-        let d = Deque.create ~capacity:1 ~dummy:(-1) () in
-        let model = ref [] in
-        List.for_all
-          (fun op ->
-            (match op with
-            | Some x ->
-              Deque.push_back d x;
-              model := !model @ [ x ]
-            | None -> (
-              let got = Deque.pop_front d in
-              match !model with
-              | x :: rest when x = got -> model := rest
-              | [] when got = -1 -> ()
-              | _ -> model := [ max_int ]));
-            Deque.to_list d = !model && Deque.length d = List.length !model)
-          ops);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Ring                                                                *)
@@ -874,13 +840,7 @@ let () =
           tc "quantile" test_histogram_quantile;
           tc "observed extremes" test_histogram_observed_extremes;
         ]
-        @ props histogram_qcheck );
-      ( "deque",
-        [
-          tc "basics" test_deque_basics;
-          tc "growth wraps" test_deque_growth_wraps;
-        ]
-        @ props deque_qcheck );
+        @ props histogram_qcheck @ props histogram_int_qcheck );
       ( "int_table",
         [ tc "basics" test_int_table_basics ] @ props int_table_qcheck );
       ( "ring",

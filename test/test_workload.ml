@@ -251,6 +251,158 @@ let test_mt_models_validate () =
         (Workload.Parallel_apps.mt_scan ~threads:0 ~epc_pages:64
            ~input:(Input.Ref 0)))
 
+(* Reference models for the two generators that keep int state: their
+   list- and closure-based versions, kept as they were.  The properties
+   below require the same events from both and the same PRNG draws, so
+   traces, arena fingerprints and digests cannot move. *)
+module Reference_pattern = struct
+  let draw_compute prng ~compute ~jitter =
+    if jitter <= 0.0 || compute = 0 then compute
+    else begin
+      let spread = int_of_float (float_of_int compute *. jitter) in
+      if spread = 0 then compute
+      else max 0 (Prng.int_in prng (compute - spread) (compute + spread))
+    end
+
+  let event prng ~site ~vpage ~compute ~jitter =
+    Access.make ~site ~vpage ~compute:(draw_compute prng ~compute ~jitter) ()
+
+  let multi_stream ~site ~streams ~events_per_page ~compute ~jitter prng =
+    let cursors =
+      Array.of_list
+        (List.map (fun (base, pages) -> ref (base, base + pages, 0)) streams)
+    in
+    let alive () =
+      Array.to_list cursors
+      |> List.filteri (fun _ c ->
+             let pos, limit, _ = !c in
+             pos < limit)
+      |> List.length
+    in
+    let rec next () =
+      if alive () = 0 then Seq.Nil
+      else begin
+        let i = Prng.int prng (Array.length cursors) in
+        let pos, limit, k = !(cursors.(i)) in
+        if pos >= limit then next ()
+        else begin
+          let acc = event prng ~site ~vpage:pos ~compute ~jitter in
+          cursors.(i) :=
+            (if k + 1 >= events_per_page then (pos + 1, limit, 0)
+             else (pos, limit, k + 1));
+          Seq.Cons (acc, next)
+        end
+      end
+    in
+    next
+
+  let weighted_interleave weighted prng =
+    if weighted = [] then Seq.empty
+    else begin
+      let dispensers =
+        Array.of_list
+          (List.map
+             (fun (w, t) -> (max 1 w, Seq.to_dispenser (Pattern.run t prng)))
+             weighted)
+      in
+      let alive = Array.make (Array.length dispensers) true in
+      let total_weight () =
+        let sum = ref 0 in
+        Array.iteri (fun i (w, _) -> if alive.(i) then sum := !sum + w) dispensers;
+        !sum
+      in
+      let pick () =
+        let total = total_weight () in
+        if total = 0 then None
+        else begin
+          let target = Prng.int prng total in
+          let chosen = ref (-1) in
+          let acc = ref 0 in
+          Array.iteri
+            (fun i (w, _) ->
+              if alive.(i) && !chosen = -1 then begin
+                acc := !acc + w;
+                if target < !acc then chosen := i
+              end)
+            dispensers;
+          Some !chosen
+        end
+      in
+      let rec next () =
+        match pick () with
+        | None -> Seq.Nil
+        | Some i -> (
+          let _, dispenser = dispensers.(i) in
+          match dispenser () with
+          | Some acc -> Seq.Cons (acc, next)
+          | None ->
+            alive.(i) <- false;
+            next ())
+      in
+      next
+    end
+end
+
+(* The events of a pattern and of its reference model run from the same
+   seed, and the draw each leaves the generator at next, agree. *)
+let same_draws ~seed pattern reference =
+  let run f =
+    let prng = Prng.create seed in
+    let events = List.of_seq (f prng) in
+    (events, Prng.int prng 1_000_000)
+  in
+  run (Pattern.run pattern) = run reference
+
+let reference_qcheck =
+  let open QCheck2 in
+  let compute = Gen.(pair (oneofl [ 0; 7; 1000 ]) (oneofl [ 0.0; 0.3; 1.0 ])) in
+  [
+    Test.make ~name:"multi_stream draws what its reference model does"
+      ~count:300
+      Gen.(
+        quad
+          (list_size (int_range 1 8) (pair (int_range 0 500) (int_range (-2) 12)))
+          (int_range 1 4) compute (int_bound 100_000))
+      (fun (streams, events_per_page, (compute, jitter), seed) ->
+        let make f = f ~site:3 ~streams ~events_per_page ~compute ~jitter in
+        same_draws ~seed
+          (make Pattern.multi_stream)
+          (make Reference_pattern.multi_stream));
+    (* Children of every kind: fixed-length and empty sweeps, random ones
+       that draw per event, a pointer chase that draws when started, and
+       a multi-stream; weights include the clamped 0 and -1. *)
+    Test.make ~name:"weighted_interleave draws what its reference model does"
+      ~count:300
+      Gen.(
+        triple
+          (list_size (int_range 0 6)
+             (triple (int_range (-1) 5) (int_range 0 4) (int_range 0 6)))
+          compute (int_bound 100_000))
+      (fun (children, (compute, jitter), seed) ->
+        let child (kind, n) =
+          match kind with
+          | 0 ->
+            Pattern.sequential ~site:0 ~base:0 ~pages:n ~events_per_page:2
+              ~compute ~jitter
+          | 1 ->
+            Pattern.uniform_random ~site:1 ~base:100 ~pages:9 ~events:n
+              ~compute ~jitter
+          | 2 ->
+            Pattern.pointer_chase ~site:2 ~base:200 ~pages:16 ~events:n
+              ~locality:0.5 ~compute ~jitter
+          | 3 ->
+            Pattern.multi_stream ~site:3 ~streams:[ (300, n); (400, 1) ]
+              ~events_per_page:1 ~compute ~jitter
+          | _ -> Pattern.empty
+        in
+        let weighted =
+          List.map (fun (w, kind, n) -> (w, child (kind, n))) children
+        in
+        same_draws ~seed
+          (Pattern.weighted_interleave weighted)
+          (Reference_pattern.weighted_interleave weighted));
+  ]
+
 let pattern_qcheck =
   [
     QCheck2.Test.make ~name:"sequential produces pages*epp events" ~count:200
@@ -662,7 +814,7 @@ let () =
           tc "mt_scan model" test_mt_scan_model;
           tc "mt model validation" test_mt_models_validate;
         ]
-        @ props pattern_qcheck );
+        @ props (pattern_qcheck @ reference_qcheck) );
       ( "trace",
         [
           tc "replay identical" test_trace_replay_identical;
