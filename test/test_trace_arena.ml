@@ -497,6 +497,115 @@ let test_cache_rejects_damage_and_regenerates () =
       expect_rebuild "foreign entry" (read_whole (the_cache_path other)))
 
 (* ------------------------------------------------------------------ *)
+(* Golden digests                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every shipped model's compiled stream at EPC 256, train and ref0,
+   pinned to the digest the generator produced when these were recorded:
+   any changed event, length or distinct-page count fails.  The digest
+   is MD5 over the length, the distinct-page count and the four columns
+   as little-endian 64-bit ints, chained in 64 KiB blocks. *)
+let golden_epc = 256
+
+let golden_models =
+  List.map (fun (name, _, m) -> (name, m)) Workload.Spec.all
+  @ Workload.Vision.all @ Workload.Parallel_apps.all @ Workload.Synthetic.all
+
+let arena_digest a =
+  let buf = Buffer.create 65_536 in
+  let acc = ref (Digest.string "") in
+  let flush () =
+    acc := Digest.string (!acc ^ Buffer.contents buf);
+    Buffer.clear buf
+  in
+  let add v =
+    Buffer.add_int64_le buf (Int64.of_int v);
+    if Buffer.length buf >= 65_536 then flush ()
+  in
+  let n = Arena.length a in
+  add n;
+  add (Arena.distinct_pages a);
+  List.iter
+    (fun col ->
+      for i = 0 to n - 1 do
+        add (col a i)
+      done)
+    [ Arena.site; Arena.vpage; Arena.compute; Arena.thread ];
+  flush ();
+  Digest.to_hex !acc
+
+let golden_digests =
+  [
+    ("microbenchmark", "train", "674bcff333aebc7e3e1c25825d08a4b7");
+    ("microbenchmark", "ref0", "337e3d903dd3bef67b821cf4c1f412d4");
+    ("bwaves", "train", "fc8f51ce82ea4d590ededc361b3f0033");
+    ("bwaves", "ref0", "c281bc1a81a383d07baa16d735c3b5df");
+    ("lbm", "train", "1495f1fd9bfecd8461d3b00928522d39");
+    ("lbm", "ref0", "39d5ed17f3dff98b52e365d92aef360d");
+    ("wrf", "train", "7a77b2824a52718fa7de1cd991f1b8d5");
+    ("wrf", "ref0", "5d5716b5032611682e9851f2e1f0894a");
+    ("roms", "train", "04421231cf7f5b4d66bf4fa569955c5b");
+    ("roms", "ref0", "58969228b71909e6e160eb3d02b5340c");
+    ("mcf", "train", "1165064b0dfaae3b08fcf227f29b8fb3");
+    ("mcf", "ref0", "4e0cae3e6c6459c8f9442e8bcb32a96a");
+    ("mcf.2006", "train", "d4e6fd41ce63abcc32347c24eaecbedb");
+    ("mcf.2006", "ref0", "de0fd281fe9d4af22ae46b1055454c3c");
+    ("deepsjeng", "train", "4bb3ac8bc4ec2419d4d1b29eb8f5c1d5");
+    ("deepsjeng", "ref0", "1e0ad97d2e884c890e16764d022b076c");
+    ("omnetpp", "train", "1612891072cc5e99aaefbffd12fe33a7");
+    ("omnetpp", "ref0", "2750c33f5b817f513ad49ce032b05ccf");
+    ("xz", "train", "fb219023a4c3038d4457f8ff6c71ceeb");
+    ("xz", "ref0", "22c4a91f79eec0e700446fbfd9fa0226");
+    ("cactuBSSN", "train", "c772bc318a9bf8446c708ac20bc9405c");
+    ("cactuBSSN", "ref0", "6ea867d0c8b3d105b89eb6a1c97ac9ec");
+    ("imagick", "train", "1efdb6a58e8e4840a437da0ab999e9f9");
+    ("imagick", "ref0", "75b4a3c1c0a9b56e2d8355aa9df6d95c");
+    ("leela", "train", "0f93f4829306e5bd822fb1f28e1e6cda");
+    ("leela", "ref0", "e6c15bc7c4dbd9cb22a8910819f6002d");
+    ("nab", "train", "e2965eafec3416e5181967fa34a540d1");
+    ("nab", "ref0", "c6afa1d873bbd3fe7fd23e729cd1748a");
+    ("exchange2", "train", "f4ae867e342fc3a309d51f31b15b9b41");
+    ("exchange2", "ref0", "eef3801937fba2ca4c878a61ef8809fb");
+    ("SIFT", "train", "1b5f67ef4684af8a63d85fc86dca4e56");
+    ("SIFT", "ref0", "49e6101fb5fefe7e7390b080eaeea64d");
+    ("MSER", "train", "6661ead0ea793e465e3dcb61583f682f");
+    ("MSER", "ref0", "66ba3306ec52d72b0016d740e561cac5");
+    ("mixed-blood", "train", "b82754f7fb715f4217f15e2dac531927");
+    ("mixed-blood", "ref0", "f33cf2145d353174cb5b71eaed9011dc");
+    ("mt-scan", "train", "a28481d43c0a51669a1ba79c76d6509b");
+    ("mt-scan", "ref0", "c37a1158b837dd63cfd12c9c6e1779d1");
+    ("mt-zipf", "train", "324df77671f6cb3efbee3c024404b46b");
+    ("mt-zipf", "ref0", "48d2231225cfc3693eae869c4b8efb63");
+    ("oram", "train", "4b0d2b71a28f7094f7c7eb15dcce3bd6");
+    ("oram", "ref0", "93c118a32bbfd6e18a65bfd67af9c471");
+    ("adversarial-streams", "train", "6d86fd999590d52a5e27c5cef69ed9f0");
+    ("adversarial-streams", "ref0", "76eeed9e69129d041932e9b7a08d2e9e");
+    ("best-case", "train", "f94d65fb5ae8c989ae540c9e09ccebe9");
+    ("best-case", "ref0", "91066d9274a83e0fb824f97f2adced84");
+  ]
+
+let test_golden_digests () =
+  let actual =
+    List.concat_map
+      (fun (name, model) ->
+        List.map
+          (fun input ->
+            let a = Arena.compile (model ~epc_pages:golden_epc ~input) in
+            let d = arena_digest a in
+            Arena.clear_memo ();
+            (name, Workload.Input.to_string input, d))
+          [ Workload.Input.Train; Workload.Input.Ref 0 ])
+      golden_models
+  in
+  checki "23 models, two inputs each" 46 (List.length actual);
+  if actual <> golden_digests then
+    Alcotest.failf "golden digests moved; the generator now gives:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (n, i, d) -> Printf.sprintf "    (%S, %S, %S);" n i d)
+            actual))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   (* The cache must start disabled regardless of the caller's
@@ -526,6 +635,7 @@ let () =
           tc "distinct pages of sparse pages" test_distinct_pages_of_sparse_pages;
         ]
         @ props [ arena_matches_events_prop ] );
+      ("golden", [ tc "model digests at EPC 256" test_golden_digests ]);
       ( "perturbed",
         [ tc "memoised beside its base" test_perturbed_arena_memo ]
         @ props [ perturbed_arena_prop ] );

@@ -117,6 +117,106 @@ let prng_qcheck =
         Prng.int (Prng.create seed) bound = Prng.int (Prng.create seed) bound);
   ]
 
+(* The generator against [Reference_prng], the boxed-state SplitMix64 it
+   replaced: from one seed, the same call sequence must give the same
+   outputs bit for bit, floats compared by their bits.  A [split] or
+   [copy] must agree on the generator it returns and leave the two
+   parents in step. *)
+type prng_op =
+  | Bits64
+  | Int of int
+  | Int_in of int * int
+  | Float of float
+  | Bool
+  | Chance of float
+  | Geometric of float
+  | Zipf of int * float
+  | Shuffle of int
+  | Split
+  | Copy
+
+let show_prng_op = function
+  | Bits64 -> "bits64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Int_in (lo, hi) -> Printf.sprintf "int_in %d %d" lo hi
+  | Float b -> Printf.sprintf "float %h" b
+  | Bool -> "bool"
+  | Chance p -> Printf.sprintf "chance %h" p
+  | Geometric p -> Printf.sprintf "geometric %h" p
+  | Zipf (n, s) -> Printf.sprintf "zipf %d %h" n s
+  | Shuffle n -> Printf.sprintf "shuffle %d" n
+  | Split -> "split"
+  | Copy -> "copy"
+
+let prng_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (1, pure Bits64);
+      ( 4,
+        map
+          (fun b -> Int b)
+          (oneof
+             [
+               int_range 1 100;
+               int_range 1 1_000_000_000;
+               oneofl [ max_int; (max_int / 3) + 1; 1 lsl 61 ];
+             ]) );
+      (2, map2 (fun lo w -> Int_in (lo, lo + w)) (int_range (-1000) 1000) (int_range 0 1000));
+      (2, map (fun b -> Float b) (oneofl [ 1.0; 2.5; 1e9; 0.0 ]));
+      (2, pure Bool);
+      (2, map (fun p -> Chance p) (oneofl [ -0.5; 0.0; 0.3; 0.999; 1.0; 1.5 ]));
+      (2, map (fun p -> Geometric p) (oneofl [ 0.01; 0.5; 0.9; 1.0 ]));
+      ( 3,
+        map2
+          (fun n s -> Zipf (n, s))
+          (oneofl [ 1; 2; 10; 1000; 1_000_000 ])
+          (oneofl [ 0.5; 0.99; 1.0; 1.0 +. 1e-10; 1.1; 1.3; 2.0 ]) );
+      (1, map (fun n -> Shuffle n) (int_range 0 10));
+      (1, pure Split);
+      (1, pure Copy);
+    ]
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prng_agrees_with_reference (seed, ops) =
+  let module R = Reference_prng in
+  let p = Prng.create seed and r = R.create seed in
+  let step = function
+    | Bits64 -> Int64.equal (Prng.bits64 p) (R.bits64 r)
+    | Int b -> Prng.int p b = R.int r b
+    | Int_in (lo, hi) -> Prng.int_in p lo hi = R.int_in r lo hi
+    | Float b -> same_float (Prng.float p b) (R.float r b)
+    | Bool -> Bool.equal (Prng.bool p) (R.bool r)
+    | Chance c -> Bool.equal (Prng.chance p c) (R.chance r c)
+    | Geometric g -> Prng.geometric p g = R.geometric r g
+    | Zipf (n, s) -> Prng.zipf p ~n ~s = R.zipf r ~n ~s
+    | Shuffle n ->
+      let a = Array.init n Fun.id and b = Array.init n Fun.id in
+      Prng.shuffle p a;
+      R.shuffle r b;
+      a = b
+    | Split ->
+      let p' = Prng.split p and r' = R.split r in
+      Int64.equal (Prng.bits64 p') (R.bits64 r')
+      && Prng.int p' 1000 = R.int r' 1000
+    | Copy ->
+      let p' = Prng.copy p and r' = R.copy r in
+      let a = Prng.bits64 p' in
+      Int64.equal a (R.bits64 r') && Int64.equal a (Prng.bits64 p)
+      && Int64.equal a (R.bits64 r)
+  in
+  List.for_all step ops && Int64.equal (Prng.bits64 p) (R.bits64 r)
+
+let prng_reference_qcheck =
+  QCheck2.Test.make ~name:"agrees with the boxed reference bit for bit"
+    ~count:500
+    ~print:
+      QCheck2.Print.(
+        pair int (fun ops -> String.concat "; " (List.map show_prng_op ops)))
+    QCheck2.Gen.(pair (int_range (-1_000_000) 1_000_000) (list_size (int_range 0 40) prng_op_gen))
+    prng_agrees_with_reference
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -806,7 +906,7 @@ let () =
           tc "zipf skew" test_prng_zipf_skew;
           tc "shuffle permutation" test_prng_shuffle_permutation;
         ]
-        @ props prng_qcheck );
+        @ props (prng_qcheck @ [ prng_reference_qcheck ]) );
       ( "stats",
         [
           tc "empty" test_stats_empty;
