@@ -279,9 +279,10 @@ let intro_runs settings =
   | [ base; native ] -> (base, native)
   | _ -> assert false
 
-let intro_slowdown settings =
-  let base, native = intro_runs settings in
+let slowdown ((base : Runner.result), (native : Runner.result)) =
   float_of_int base.cycles /. float_of_int native.cycles
+
+let intro_slowdown settings = slowdown (intro_runs settings)
 
 let print_intro settings =
   Printf.printf "## E-intro — §1 motivation: sequential 8x-EPC scan, enclave vs native\n\n";
@@ -292,7 +293,7 @@ let print_intro settings =
     (Table.cell_int native.cycles)
     (Metrics.total_faults native.metrics);
   Printf.printf "slowdown: %.1fx   (paper observed ~46x on real SGX)\n\n"
-    (intro_slowdown settings);
+    (slowdown (base, native));
   print_string
     "The model charges only paging costs; the paper's 46x additionally\n\
      includes TLB shootdowns and cache disturbance outside this model.\n\n"

@@ -1,10 +1,15 @@
 (** Composable page-access pattern generators.
 
     Every synthetic benchmark model is assembled from these blueprints.
-    A pattern, once given a PRNG, yields a lazy stream of {!Access.t}
-    events; the stream draws from the PRNG as it is consumed, so a stream
-    must be consumed at most once (build a fresh one from the same seed to
-    replay — {!Trace} does exactly that).
+    A blueprint knows its exact event count ({!length}, computed from its
+    parameters without drawing) and, given a PRNG, starts as a {!cursor}:
+    a pull function that writes each event into one reused {!slot} of
+    four ints and returns [false] once the pattern is exhausted.  Leaves
+    keep int state and combinators call their children's cursors
+    directly, so generating an event allocates nothing.  A cursor draws
+    from the PRNG as it is pulled, so it is single-consumption (start a
+    fresh one from the same seed to replay — {!Trace} does exactly that).
+    {!run} is the same stream as a [Seq] of {!Access.t} records.
 
     The leaf constructors mirror the memory behaviours the paper observes
     at page level (Fig. 3 and §4.4): sequential and strided sweeps,
@@ -14,8 +19,35 @@
 
 type t
 
+val length : t -> int
+(** The exact number of events the pattern generates. *)
+
+type slot = {
+  mutable site : int;
+  mutable vpage : int;
+  mutable compute : int;
+  mutable thread : int;
+}
+(** The fields of one {!Access.t}, overwritten by every pull. *)
+
+val slot : unit -> slot
+
+type cursor = unit -> bool
+(** Pull the next event into the slot; [false] once exhausted (and on
+    every later pull, without drawing). *)
+
+val cursor : t -> Repro_util.Prng.t -> slot -> cursor
+(** Start the pattern on [slot].  Starting makes the draws a pattern
+    makes before its first event: {!pointer_chase} and {!bursty} draw
+    their first position, {!weighted_interleave} starts every child in
+    list order, {!seq_list} and {!repeat} start their first child (each
+    later one starts when the one before it runs dry).  An event with a
+    negative page or compute raises [Invalid_argument] with
+    {!Access.make}'s message when it is pulled. *)
+
 val run : t -> Repro_util.Prng.t -> Access.t Seq.t
-(** Instantiate the pattern.  Single-consumption stream. *)
+(** The cursor, started now, as a sequence of records.
+    Single-consumption stream. *)
 
 (** {1 Leaves}
 
@@ -40,7 +72,8 @@ val strided :
   compute:int -> jitter:float -> t
 (** Column-major sweep: consecutive accesses are [stride] pages apart
     ([stride >= 2] defeats next-page stream detection — the roms/wrf
-    trap for DFP). *)
+    trap for DFP).  Every page of the range exactly [events_per_page]
+    times; an empty range ([pages = 0]) emits nothing. *)
 
 val multi_stream :
   site:int -> streams:(int * int) list -> events_per_page:int -> compute:int ->
@@ -72,7 +105,8 @@ val bursty :
     at uniformly random positions.  Each adjacent-page fault pair looks
     like the start of a stream, so DFP keeps opening streams that die
     immediately — the misprediction generator behind the roms/deepsjeng
-    pathology of Fig. 8. *)
+    pathology of Fig. 8.  Every run stays inside [\[base, base+pages)]:
+    [run_max > pages] is rejected ("Pattern.bursty: bad runs"). *)
 
 val mixed_site :
   site:int -> hot_base:int -> hot_pages:int -> cold_base:int -> cold_pages:int ->
@@ -91,13 +125,17 @@ val interleave : t list -> t
     still-alive sub-pattern. *)
 
 val weighted_interleave : (int * t) list -> t
-(** Random merge with relative weights. *)
+(** Random merge with relative weights (a weight below 1 counts as 1):
+    each step picks the first live child whose cumulative weight exceeds
+    a uniform draw below the live children's total.  A child found
+    exhausted drops out and the step draws again. *)
 
 val repeat : int -> t -> t
 (** The same blueprint [n] times in sequence (fresh draws each round). *)
 
 val take : int -> t -> t
-(** At most the first [n] events. *)
+(** At most the first [n] events.
+    @raise Invalid_argument on a negative count. *)
 
 val on_thread : int -> t -> t
 (** Stamp every event of the sub-pattern with a thread id (leaves emit

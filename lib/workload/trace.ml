@@ -26,6 +26,7 @@ let make ~name ~elrange_pages ~footprint_pages ~seed ~sites pattern =
     arena_key = None;
   }
 
+let cursor t slot = Pattern.cursor t.pattern (Prng.create t.seed) slot
 let events t = Pattern.run t.pattern (Prng.create t.seed)
 
 let site_name t site =
@@ -39,24 +40,21 @@ let note_stats t ~length ~distinct_pages =
 let note_arena_key t key =
   if t.arena_key = None then t.arena_key <- Some key
 
-(* Both statistics come out of one replay, and [Trace_arena.compile]
-   deposits them as a side effect of packing, so a trace that has been
-   compiled (or measured once) never replays again for either query. *)
-let computed_stats t =
+let length t = Pattern.length t.pattern
+
+(* [Trace_arena.compile] deposits the distinct-page count as a side
+   effect of packing, so a trace that has been compiled (or measured
+   once) never replays for it. *)
+let count_distinct_pages t =
   match t.stats with
-  | Some s -> s
+  | Some s -> s.distinct_pages
   | None ->
     let seen = Hashtbl.create 1024 in
-    let n = ref 0 in
-    Seq.iter
-      (fun (a : Access.t) ->
-        incr n;
-        Hashtbl.replace seen a.vpage ())
-      (events t);
-    let s = { length = !n; distinct_pages = Hashtbl.length seen } in
-    t.stats <- Some s;
-    s
-
-let length t = (computed_stats t).length
-
-let count_distinct_pages t = (computed_stats t).distinct_pages
+    let slot = Pattern.slot () in
+    let next = cursor t slot in
+    while next () do
+      Hashtbl.replace seen slot.vpage ()
+    done;
+    let distinct_pages = Hashtbl.length seen in
+    note_stats t ~length:(length t) ~distinct_pages;
+    distinct_pages

@@ -4,13 +4,14 @@
     Replays are the backbone of the PGO flow — the profiling run and the
     measured run both see streams rebuilt from the trace's seed, so "run
     the same binary again" is exact.  Hot consumers replay through
-    {!Trace_arena}, which compiles the stream once into packed buffers;
-    {!events} remains as the thin compatibility view over the pattern. *)
+    {!Trace_arena}, which drains the pattern's cursor once into packed
+    buffers; {!events} is the same cursor as a [Seq] of records, for
+    [record], {!Trace_stats} and the tests. *)
 
 type stats = { length : int; distinct_pages : int }
 (** Whole-stream statistics, cached on the trace after the first full
-    materialisation (by {!Trace_arena.compile} or by the first {!length}
-    / {!count_distinct_pages} query). *)
+    materialisation (by {!Trace_arena.compile} or by the first
+    {!count_distinct_pages} query). *)
 
 type t = {
   name : string;
@@ -33,6 +34,10 @@ val make :
   name:string -> elrange_pages:int -> footprint_pages:int -> seed:int ->
   sites:(int * string) list -> Pattern.t -> t
 
+val cursor : t -> Pattern.slot -> Pattern.cursor
+(** A fresh cursor over the stream, started from the stored seed on the
+    given slot.  Successive calls yield identical streams. *)
+
 val events : t -> Access.t Seq.t
 (** A fresh single-consumption stream built from the stored seed.
     Successive calls yield identical streams.  Compatibility view: one
@@ -52,8 +57,9 @@ val note_arena_key : t -> string -> unit
     First writer wins; the key is a pure function of the trace. *)
 
 val length : t -> int
-(** Number of events.  O(1) once the trace has been compiled or queried
-    before; one full replay (then cached) otherwise. *)
+(** Number of events: {!Pattern.length}, computed from the pattern's
+    parameters without a replay. *)
 
 val count_distinct_pages : t -> int
-(** Distinct pages touched; same caching as {!length}. *)
+(** Distinct pages touched.  O(1) once the trace has been compiled or
+    queried before; one full replay (then cached) otherwise. *)

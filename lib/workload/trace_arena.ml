@@ -1,14 +1,13 @@
 (* Compile a trace once into packed parallel buffers and replay it from
    there.
 
-   [Trace.events] re-runs the PRNG-driven pattern closure chain and
-   allocates one record per access, every time anyone looks at the
-   stream — and the experiment matrix looks at the same stream once per
-   scheme cell.  The arena pays that cost once: the stream is
-   materialised into four Bigarray int columns (site, vpage, compute,
-   thread), replays become tight index loops with no per-access
-   allocation, and compiled arenas are memoised process-wide and
-   (optionally) persisted to a checksummed on-disk cache so forked
+   Generating a trace runs its pattern's PRNG-driven cursor, and the
+   experiment matrix looks at the same stream once per scheme cell.  The
+   arena pays the generation once: the cursor is drained into four
+   Bigarray int columns (site, vpage, compute, thread) allocated at the
+   pattern's exact length, replays become tight index loops with no
+   per-access allocation, and compiled arenas are memoised process-wide
+   and (optionally) persisted to a checksummed on-disk cache so forked
    workers and repeated CLI invocations decode instead of regenerating.
 
    Identity.  A pattern is a closure, so it has no hashable structure;
@@ -81,15 +80,16 @@ let fingerprint_events = 128
 
 let fingerprint trace =
   let h = ref Codec.(mix (mix 0 0x5eed) (String.length trace.Trace.name)) in
+  let slot = Pattern.slot () in
+  let next = Trace.cursor trace slot in
   let i = ref 0 in
-  (try
-     Seq.iter
-       (fun (a : Access.t) ->
-         if !i >= fingerprint_events then raise Exit;
-         incr i;
-         h := Codec.mix (Codec.mix (Codec.mix (Codec.mix !h a.site) a.vpage) a.compute) a.thread)
-       (Trace.events trace)
-   with Exit -> ());
+  while !i < fingerprint_events && next () do
+    h :=
+      Codec.mix
+        (Codec.mix (Codec.mix (Codec.mix !h slot.site) slot.vpage) slot.compute)
+        slot.thread;
+    incr i
+  done;
   Codec.mix !h !i
 
 let key trace fp =
@@ -176,52 +176,43 @@ let count_distinct (col : Codec.buf) n =
     Hashtbl.length seen
   end
 
-(* The columns grow off-heap, doubling, and are trimmed to length at the
-   end: a compile puts nothing on the major heap, so its cost does not
-   depend on how much garbage earlier work left there. *)
+(* The pattern's length is exact, so each column is allocated once, at
+   its final size, off-heap: a compile puts nothing on the major heap,
+   and its cost does not depend on how much garbage earlier work left
+   there.  The cursor writes each event into one slot, copied into the
+   columns. *)
 let build trace fp =
   incr compilations_counter;
-  let column len : Codec.buf =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
+  let n = Pattern.length trace.Trace.pattern in
+  let column () : Codec.buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  let site = column () and vpage = column () in
+  let compute = column () and thread = column () in
+  let slot = Pattern.slot () in
+  let next = Trace.cursor trace slot in
+  let miscount delivered =
+    invalid_arg
+      (Printf.sprintf "Trace_arena.compile: %s: pattern length %d, stream %s"
+         trace.Trace.name n delivered)
   in
-  let cap = ref 4096 in
-  let n = ref 0 in
-  let site = ref (column !cap) in
-  let vpage = ref (column !cap) in
-  let compute = ref (column !cap) in
-  let thread = ref (column !cap) in
-  let resize len b =
-    let b' = column len in
-    let m = Int.min len (Bigarray.Array1.dim !b) in
-    Bigarray.Array1.blit (Bigarray.Array1.sub !b 0 m) (Bigarray.Array1.sub b' 0 m);
-    b := b'
-  in
-  let columns = [ site; vpage; compute; thread ] in
-  Seq.iter
-    (fun (a : Access.t) ->
-      if !n = !cap then begin
-        cap := 2 * !cap;
-        List.iter (resize !cap) columns
-      end;
-      let i = !n in
-      Bigarray.Array1.unsafe_set !site i a.site;
-      Bigarray.Array1.unsafe_set !vpage i a.vpage;
-      Bigarray.Array1.unsafe_set !compute i a.compute;
-      Bigarray.Array1.unsafe_set !thread i a.thread;
-      n := i + 1)
-    (Trace.events trace);
-  List.iter (resize !n) columns;
+  for i = 0 to n - 1 do
+    if not (next ()) then miscount (Printf.sprintf "ended after %d events" i);
+    Bigarray.Array1.unsafe_set site i slot.site;
+    Bigarray.Array1.unsafe_set vpage i slot.vpage;
+    Bigarray.Array1.unsafe_set compute i slot.compute;
+    Bigarray.Array1.unsafe_set thread i slot.thread
+  done;
+  if next () then miscount "ran longer";
   {
     Codec.name = trace.Trace.name;
     seed = trace.Trace.seed;
     elrange_pages = trace.Trace.elrange_pages;
     footprint_pages = trace.Trace.footprint_pages;
     fingerprint = fp;
-    distinct_pages = count_distinct !vpage !n;
-    site = !site;
-    vpage = !vpage;
-    compute = !compute;
-    thread = !thread;
+    distinct_pages = count_distinct vpage n;
+    site;
+    vpage;
+    compute;
+    thread;
   }
 
 let memo : (string, t) Hashtbl.t = Hashtbl.create 16

@@ -1,7 +1,8 @@
 (** Compiled trace arenas: the allocation-free replay path.
 
-    {!compile} materialises a {!Trace.t}'s access stream once into
-    packed [Bigarray] int columns (site, vpage, compute, thread) and
+    {!compile} drains a {!Trace.t}'s pattern cursor once into packed
+    [Bigarray] int columns (site, vpage, compute, thread), each
+    allocated at the pattern's exact {!Pattern.length}, and
     hands back an arena whose {!iter}/{!fold} replay it as a tight index
     loop — no PRNG work, no per-access record allocation.  Arenas are
     memoised process-wide (keyed on the trace's identity: header fields,
@@ -11,9 +12,9 @@
     instead of regenerating.  Replays from an arena — memoised, decoded
     cold or decoded warm — are bit-identical to [Trace.events].
 
-    Compiling also deposits the stream's length and distinct-page count
-    on the trace ({!Trace.note_stats}), making [Trace.length] and
-    [Trace.count_distinct_pages] O(1) afterwards, and records the memo
+    Compiling also deposits the stream's distinct-page count on the
+    trace ({!Trace.note_stats}), making [Trace.count_distinct_pages]
+    O(1) afterwards, and records the memo
     key on the trace value ({!Trace.note_arena_key}), so compiling the
     same value again is a table lookup rather than a fingerprint
     replay. *)
@@ -24,7 +25,10 @@ val compile : Trace.t -> t
 (** Compile (or fetch the memoised / cached compilation of) a trace.
     A cache file that is truncated, corrupt, version-mismatched or for a
     different trace is treated as a miss and regenerated, never an
-    error. *)
+    error.
+    @raise Invalid_argument if the pattern's stream does not deliver
+    exactly {!Pattern.length} events (a generator bug), or when an event
+    has a negative page or compute. *)
 
 val derive : t -> tag:string -> length:int -> vpage:(int -> int -> int) -> t
 (** [derive a ~tag ~length ~vpage] is the arena of [a]'s first
