@@ -30,8 +30,10 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Run the CLI via /bin/sh; returns (exit code, stdout, stderr).  [env]
-   entries are prepended as VAR=value assignments. *)
-let run_cli ?(env = []) args =
+   entries are prepended as VAR=value assignments; [limit] runs the CLI
+   under coreutils' timeout, so a hang fails the test (exit 124) instead
+   of stalling the suite. *)
+let run_cli ?(env = []) ?limit args =
   let out = Filename.temp_file "sgx_preload_cli" ".out" in
   let err = Filename.temp_file "sgx_preload_cli" ".err" in
   Fun.protect
@@ -39,9 +41,12 @@ let run_cli ?(env = []) args =
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ out; err ])
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s %s > %s 2> %s"
+        Printf.sprintf "%s %s%s %s > %s 2> %s"
           (String.concat " "
              (List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v) env))
+          (match limit with
+          | None -> ""
+          | Some seconds -> Printf.sprintf "timeout %d " seconds)
           (Filename.quote exe)
           (String.concat " " (List.map Filename.quote args))
           (Filename.quote out) (Filename.quote err)
@@ -143,11 +148,83 @@ let test_experiment_keep_going_exit_codes () =
   let args = [ "experiment"; "fig2"; "--quick"; "--keep-going" ] in
   let code, _, _ = run_cli args in
   checki "clean experiment exits 0" 0 code;
-  let code, _, err =
-    run_cli ~env:[ ("SGX_PRELOAD_FAIL_CELL", "fig2/") ] args
+  (* Every matrix behind [experiment] honours the hardening flags: a
+     lost cell fails its experiment, which is reported on stderr and
+     makes the run exit 1 — never an uncaught exception, never 0, never
+     a hang past --timeout. *)
+  List.iter
+    (fun (what, env, extra, names) ->
+      let code, _, err =
+        run_cli ~env ~limit:60 ([ "experiment" ] @ extra @ [ "--quick"; "--keep-going" ])
+      in
+      checki (what ^ ": exit 1") 1 code;
+      checkb (what ^ ": stderr names the experiment") true (contains err names);
+      checkb (what ^ ": no internal error") false (contains err "internal error"))
+    [
+      ("fig2", [ ("SGX_PRELOAD_FAIL_CELL", "fig2/") ], [ "fig2" ], "fig2");
+      ( "one service cell",
+        [ ("SGX_PRELOAD_FAIL_CELL", "service-load/gap=1875000/dfp-stop") ],
+        [ "service" ], "service" );
+      ( "every resilience cell",
+        [ ("SGX_PRELOAD_FAIL_CELL", "dfp-stop") ],
+        [ "resilience" ], "resilience" );
+      ( "one fleet cell",
+        [ ("SGX_PRELOAD_FAIL_CELL", "fleet/SIP/shared") ],
+        [ "fleet" ], "fleet" );
+      ( "one hung fleet cell",
+        [ ("SGX_PRELOAD_HANG_CELL", "fleet/SIP/shared") ],
+        [ "fleet"; "--timeout"; "2" ], "fleet" );
+    ]
+
+(* [service] keeps going cell by cell: the surviving schemes print, the
+   lost one is named on stderr, and the exit code still says a cell was
+   lost. *)
+let test_service_keep_going_exit_1 () =
+  let code, out, err =
+    run_cli
+      ~env:[ ("SGX_PRELOAD_FAIL_CELL", "service/dfp-stop") ]
+      [
+        "service"; "lbm"; "--schemes"; "baseline,dfp-stop"; "--requests"; "30";
+        "--epc"; "512"; "--keep-going";
+      ]
   in
-  checkb "failed cells make it exit nonzero" true (code <> 0);
-  checkb "stderr names the experiment" true (contains err "fig2")
+  checki "exit 1" 1 code;
+  checkb "surviving row printed" true (contains out "baseline ");
+  checkb "lost row absent" false (contains out "dfp-stop");
+  checkb "stderr names the lost cell" true (contains err "service/dfp-stop")
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "sgx_preload_cli" ".journal" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+(* Every pool call behind [experiment] journals under its own file, so a
+   resumed run reuses every journal whole and prints the same bytes. *)
+let test_experiment_journal_resume () =
+  with_temp_dir (fun dir ->
+      let args = [ "experiment"; "fleet"; "service"; "--quick"; "--journal"; dir ] in
+      let code, first, _ = run_cli args in
+      checki "journaled run exits 0" 0 code;
+      let journals = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      checkb "fleet journal written" true (List.mem "fleet.journal" journals);
+      checkb "service journals written" true
+        (List.exists (fun f -> String.starts_with ~prefix:"service" f) journals);
+      let code, resumed, err = run_cli (args @ [ "--resume" ]) in
+      checki "resumed run exits 0" 0 code;
+      List.iter
+        (fun f ->
+          checkb (f ^ " reused") true
+            (contains err
+               (Printf.sprintf "journal %s: reused" (Filename.concat dir f))))
+        journals;
+      checkb "resumed stdout byte-identical" true (first = resumed))
 
 (* A bad scheme string in a forked matrix must be rejected in the
    parent, before any cell forks: a worker that exits only kills itself,
@@ -174,6 +251,70 @@ let test_fleet_unknown_scheme_exits_1 () =
   check_unknown_scheme_rejected
     [ "fleet"; "lbm"; "xz"; "--schemes"; "bogus"; "--mode"; "both" ]
 
+(* Trace and plan files are user input: every broken one is reported on
+   stderr with exit 1, whichever command reads it and at any -j. *)
+let test_bad_input_files_exit_1 () =
+  with_temp_dir (fun dir ->
+      let file name content =
+        let path = Filename.concat dir name in
+        let oc = open_out path in
+        output_string oc content;
+        close_out oc;
+        path
+      in
+      let trace body =
+        "# sgx-preload trace v1\nname t\nelrange 4\nfootprint 2\nsite 0 s\n"
+        ^ body
+      in
+      let malformed = file "malformed.trace" (trace "a 0 x 10 0\n") in
+      let neg_page = file "neg-page.trace" (trace "a 0 -1 10 0\n") in
+      let neg_thread = file "neg-thread.trace" (trace "a 0 1 10 -2\n") in
+      let outside = file "outside.trace" (trace "a 0 1 10 0\na 0 9 10 0\n") in
+      let unnamed = file "unnamed.trace" (trace "a 0 1 10 0\n") in
+      let missing = Filename.concat dir "missing.trace" in
+      let bad_plan =
+        file "bad.plan" "# sgx-preload plan v1\nworkload lbm\nthreshold x\n"
+      in
+      let no_plan = Filename.concat dir "missing.plan" in
+      List.iter
+        (fun (what, args, message) ->
+          let code, _, err = run_cli args in
+          checki (what ^ ": exit 1") 1 code;
+          checkb (what ^ ": stderr explains") true (contains err message);
+          checkb (what ^ ": no internal error") false
+            (contains err "internal error"))
+        [
+          ("malformed field", [ "replay"; malformed ], "line 6: malformed vpage");
+          ("negative page", [ "replay"; neg_page ], "line 6: negative vpage");
+          ("negative thread", [ "replay"; neg_thread ], "line 6: negative thread");
+          ("page past elrange", [ "replay"; outside ], "line 7: page 9 outside");
+          ("missing trace", [ "replay"; missing ], "missing.trace");
+          ( "sip on an unknown model",
+            [ "replay"; unnamed; "--scheme"; "sip" ],
+            "no shipped workload named \"t\"" );
+          ( "hybrid on an unknown model",
+            [ "replay"; unnamed; "--scheme"; "hybrid" ],
+            "no shipped workload named \"t\"" );
+          ( "malformed plan",
+            [ "run"; "lbm"; "--scheme"; "sip"; "--plan"; bad_plan; "--epc"; "512" ],
+            "malformed threshold" );
+          ( "missing plan",
+            [ "run"; "lbm"; "--scheme"; "sip"; "--plan"; no_plan; "--epc"; "512" ],
+            "missing.plan" );
+          ( "fleet plan",
+            [
+              "fleet"; "lbm"; "xz"; "--schemes"; "sip"; "--plan"; bad_plan;
+              "--epc"; "512"; "-j"; "2";
+            ],
+            "malformed threshold" );
+          ( "service plan",
+            [
+              "service"; "lbm"; "--schemes"; "sip,baseline"; "--plan"; bad_plan;
+              "--epc"; "512"; "--requests"; "20"; "-j"; "2";
+            ],
+            "malformed threshold" );
+        ])
+
 let () =
   let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "cli"
@@ -188,6 +329,9 @@ let () =
           slow "validate clean exits 0" test_validate_exit_zero_on_clean_run;
           slow "validate --online" test_validate_online;
           slow "experiment keep-going exit codes" test_experiment_keep_going_exit_codes;
+          slow "service keep-going exits 1" test_service_keep_going_exit_1;
+          slow "experiment journal resume" test_experiment_journal_resume;
+          slow "bad trace and plan files exit 1" test_bad_input_files_exit_1;
           slow "service unknown scheme exits 1" test_service_unknown_scheme_exits_1;
           slow "fleet unknown scheme exits 1" test_fleet_unknown_scheme_exits_1;
         ] );

@@ -298,6 +298,35 @@ let test_jsonl_row_round_trips () =
   checki "final_now agrees" r.cycles (int_of_float (to_num (member "final_now" row)));
   checki "faults" r.metrics.faults (int_of_float (to_num (member "faults" row)))
 
+(* The row layout is a file format that external tools parse by
+   position: a golden copy of the CSV header, whose order the JSONL keys
+   must follow too. *)
+let golden_columns =
+  "workload,input,scheme,cycles,final_now,cyc_compute,cyc_access,\
+   cyc_aex,cyc_eresume,cyc_os_handler,cyc_load_wait,\
+   cyc_bitmap_check,cyc_notify,cyc_sip_wait,cyc_restart,accesses,\
+   faults,faults_in_flight,faults_already_present,total_faults,\
+   preloads_requested,preloads_rejected_range,\
+   preloads_rejected_dup,preloads_issued,preloads_rejected_breaker,\
+   preloads_completed,preloads_aborted,preloads_taken_over,\
+   preloads_skipped,preload_hits,preload_evicted_unused,evictions,\
+   sip_checks,sip_notifies,scans,crashes,crash_pages_lost,\
+   dfp_stopped,instrumentation_points,pending_preloads,\
+   in_flight_preloads,in_flight_kind,resident_at_end,\
+   events_truncated,online_mode,online_transitions,\
+   online_phase_shifts,online_instrumented"
+
+let test_columns_golden () =
+  let r = run_didactic Scheme.dfp_default in
+  Alcotest.(check string) "csv header" golden_columns (fst (csv_lines r));
+  match parse_json (jsonl r) with
+  | Obj fields ->
+    Alcotest.(check (list string))
+      "jsonl key order"
+      (String.split_on_char ',' golden_columns)
+      (List.map fst fields)
+  | _ -> Alcotest.fail "jsonl row must be an object"
+
 let test_csv_header_matches_row () =
   let r = run_didactic Scheme.Baseline in
   let split line = String.split_on_char ',' line in
@@ -536,6 +565,7 @@ let () =
         [
           tc "jsonl round-trips" test_jsonl_row_round_trips;
           tc "csv header matches row" test_csv_header_matches_row;
+          tc "column order golden" test_columns_golden;
         ] );
       ( "validator",
         [
