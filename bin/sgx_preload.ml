@@ -90,7 +90,14 @@ let build_plan ~epc name =
   let model =
     match model_of_name name with
     | Some m -> m
-    | None -> failwith (Printf.sprintf "unknown workload %S" name)
+    | None ->
+      (* Only [replay] gets here: a recorded file may name any workload.
+         Every other command checks its workload names first. *)
+      Printf.eprintf
+        "no shipped workload named %S: sip and hybrid profile their plan \
+         from a shipped model's train input\n"
+        name;
+      exit 1
   in
   let train = model ~epc_pages:epc ~input:Input.Train in
   let profile =
@@ -102,8 +109,8 @@ let build_plan ~epc name =
   Preload.Sip_instrumenter.plan_of_profile profile
 
 (* One scheme grammar for every command — {!Scheme.of_string} owns the
-   parsing; the CLI only supplies the plan thunk (a saved plan file when
-   [--plan] is given, else the train-input PGO pipeline), which is forced
+   parsing; the CLI only supplies the plan thunk (the [--plan] file's
+   plan when given, else the train-input PGO pipeline), which is forced
    only when the scheme actually needs a plan. *)
 let scheme_of_string ~plan s =
   match Scheme.of_string ~plan s with
@@ -112,11 +119,18 @@ let scheme_of_string ~plan s =
     Printf.eprintf "%s\n" msg;
     exit 1
 
-let parse_scheme ?plan_file ~epc ~workload s =
+let parse_scheme ?plan ~epc ~workload s =
   scheme_of_string s ~plan:(fun () ->
-      match plan_file with
-      | Some path -> Preload.Plan_io.load ~path
-      | None -> build_plan ~epc workload)
+      match plan with Some p -> p | None -> build_plan ~epc workload)
+
+(* A [--plan] file is read once, in the parent, before any matrix cell
+   forks: a worker's [exit] would end only the worker. *)
+let load_plan path =
+  match Preload.Plan_io.load ~path with
+  | Ok plan -> plan
+  | Error msg ->
+    Printf.eprintf "%s\n" msg;
+    exit 1
 
 (* The matrix commands parse their schemes inside forked cells, where
    [exit] would end only the worker.  They check every scheme string
@@ -156,7 +170,10 @@ let run_cmd =
     match model_of_name workload with
     | None -> unknown_workload workload
     | Some model ->
-      let scheme = parse_scheme ?plan_file ~epc ~workload scheme in
+      let scheme =
+        parse_scheme ?plan:(Option.map load_plan plan_file) ~epc ~workload
+          scheme
+      in
       let trace = model ~epc_pages:epc ~input in
       let config =
         { Sim.Runner.default_config with epc_pages = epc; log_capacity = events }
@@ -371,7 +388,13 @@ let replay_cmd =
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:scheme_doc)
   in
   let action file scheme epc =
-    let trace = Workload.Trace_io.load_trace ~path:file in
+    let trace =
+      match Workload.Trace_io.load_trace ~path:file with
+      | Ok trace -> trace
+      | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 1
+    in
     let scheme = parse_scheme ~epc ~workload:trace.Workload.Trace.name scheme in
     let spec =
       Sim.Runner.Spec.make
@@ -539,6 +562,12 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
+(* A matrix that lost cells names each on stderr and exits 1. *)
+let report_lost what fs =
+  Printf.eprintf "%s: %d cell(s) failed:\n" what (List.length fs);
+  List.iter (fun f -> Printf.eprintf "  %s\n" (Sim.Job_pool.describe f)) fs;
+  exit 1
+
 let ensure_journal_dir = function
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ()
@@ -644,14 +673,7 @@ let chaos_cmd =
     in
     let outcome =
       try Sim.Chaos.run settings
-      with Experiments.Cells_failed fs ->
-        Printf.eprintf "chaos: %d cell(s) failed:\n" (List.length fs);
-        List.iter
-          (fun (f : Sim.Job_pool.failure) ->
-            Printf.eprintf "  %s: %s (%d attempt(s))\n" f.label f.reason
-              f.attempts)
-          fs;
-        exit 1
+      with Experiments.Cells_failed fs -> report_lost "chaos" fs
     in
     Sim.Chaos.print_report settings outcome;
     if not (Sim.Chaos.ok outcome) then exit 1
@@ -792,15 +814,19 @@ let fleet_cmd =
       { Fleet.default_config with Fleet.epc_pages = epc; policy }
     in
     List.iter (fun (w, s) -> check_scheme ~workload:w s) scheme_strings;
+    let plan = Option.map load_plan plan_file in
     (* SIP plan profiling happens per cell, inside the matrix worker. *)
     let scheme_for _tag label =
-      parse_scheme ?plan_file ~epc ~workload:label
-        (List.assoc label scheme_strings)
+      parse_scheme ?plan ~epc ~workload:label (List.assoc label scheme_strings)
     in
+    (* [-j] is the fleet's only pool option, so the runner picks the
+       plain pool: every result is [Ok], and a failing cell raises. *)
     let cells =
-      Fleet.matrix ~jobs ~config ~fault_plan
-        ~input_label:(Input.to_string input) ~scheme_for ~tags:[ "fleet" ]
-        ~modes tenants
+      List.map Result.get_ok
+        (Experiments.run_cells { Experiments.default with jobs } ~table:"fleet"
+           (Fleet.matrix ~config ~fault_plan
+              ~input_label:(Input.to_string input) ~scheme_for
+              ~tags:[ "fleet" ] ~modes tenants))
     in
     List.iter
       (fun (c : Fleet.cell) ->
@@ -997,28 +1023,34 @@ let service_cmd =
     in
     let trace = model ~epc_pages:epc ~input in
     List.iter (check_scheme ~workload) schemes;
+    let plan = Option.map load_plan plan_file in
     (* SIP plan profiling happens per cell, inside the matrix worker. *)
-    let scheme_for tag = parse_scheme ?plan_file ~epc ~workload tag in
-    let cells =
+    let scheme_for tag = parse_scheme ?plan ~epc ~workload tag in
+    let settings =
+      {
+        Experiments.default with
+        jobs;
+        cell_timeout = timeout;
+        retries = cell_retries;
+        keep_going;
+      }
+    in
+    let results =
       try
-        Service.matrix ~jobs ?timeout
-          ?retries:(if cell_retries = 0 then None else Some cell_retries)
-          ~keep_going ~config ~fault_plan
-          ~input_label:(Input.to_string input) ~scheme_for ~tags:schemes trace
-      with
-      | Invalid_argument msg ->
+        Experiments.run_cells settings ~table:"service"
+          (Service.matrix ~config ~fault_plan
+             ~input_label:(Input.to_string input) ~label:"service" ~scheme_for
+             ~tags:schemes trace)
+      with Invalid_argument msg ->
         Printf.eprintf "%s\n" msg;
         exit 1
-      | Service.Cells_failed fs ->
-        Printf.eprintf "service: %d cell(s) failed:\n" (List.length fs);
-        List.iter
-          (fun (f : Sim.Job_pool.failure) ->
-            Printf.eprintf "  %s: %s (%d attempt(s))\n" f.label f.reason
-              f.attempts)
-          fs;
-        exit 1
     in
-    Service.print_cells cells
+    (* Keep-going granularity is the cell: the surviving schemes print,
+       and a lost one still makes the exit code 1. *)
+    let lost = Experiments.failures results in
+    if lost <> [] && not keep_going then report_lost "service" lost;
+    Service.print_cells (List.filter_map Result.to_option results);
+    if lost <> [] then report_lost "service" lost
   in
   let term =
     Term.(

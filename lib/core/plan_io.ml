@@ -13,10 +13,9 @@ let save (plan : Sip_instrumenter.plan) ~path =
             (if d.instrument then 1 else 0))
         plan.decisions)
 
-let fail path line msg =
-  failwith (Printf.sprintf "Plan_io.load: %s, line %d: %s" path line msg)
+exception Bad_line of int * string
 
-let load ~path =
+let parse path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -26,23 +25,21 @@ let load ~path =
         incr lineno;
         input_line ic
       in
-      (* [fail] raises [Failure]; a [Failure _] catch-all around the parse
-         loop would swallow its message and replace every diagnostic with
-         a generic one, so fields are decoded explicitly instead. *)
+      let fail msg = raise (Bad_line (!lineno, msg)) in
       let int_of field s =
         match int_of_string_opt s with
         | Some n -> n
-        | None ->
-          fail path !lineno (Printf.sprintf "malformed %s field %S" field s)
+        | None -> fail (Printf.sprintf "malformed %s field %S" field s)
       in
-      if read () <> "# sgx-preload plan v1" then
-        fail path !lineno "unrecognised header";
+      (* An empty file has no header line either. *)
+      let header = try read () with End_of_file -> "" in
+      if header <> "# sgx-preload plan v1" then fail "unrecognised header";
       let workload = ref None and threshold = ref None in
       let decisions = ref [] in
       let seen_sites = Hashtbl.create 64 in
       let set field cell value =
         if Option.is_some !cell then
-          fail path !lineno (Printf.sprintf "duplicate %s line" field);
+          fail (Printf.sprintf "duplicate %s line" field);
         cell := Some value
       in
       (try
@@ -54,13 +51,11 @@ let load ~path =
            | [ "threshold"; x ] -> (
              match float_of_string_opt x with
              | Some v -> set "threshold" threshold v
-             | None ->
-               fail path !lineno
-                 (Printf.sprintf "malformed threshold field %S" x))
+             | None -> fail (Printf.sprintf "malformed threshold field %S" x))
            | [ "s"; site; c1; c2; c3; instrument ] ->
              let site = int_of "site" site in
              if Hashtbl.mem seen_sites site then
-               fail path !lineno (Printf.sprintf "duplicate site %d" site);
+               fail (Printf.sprintf "duplicate site %d" site);
              Hashtbl.add seen_sites site ();
              let counts =
                {
@@ -78,15 +73,22 @@ let load ~path =
                }
                :: !decisions
            | [ "" ] -> ()
-           | _ -> fail path !lineno "unrecognised line"
+           | _ -> fail "unrecognised line"
          done
        with End_of_file -> ());
       let require field = function
         | Some v -> v
-        | None -> fail path !lineno (Printf.sprintf "missing %s line" field)
+        | None -> fail (Printf.sprintf "missing %s line" field)
       in
       {
         Sip_instrumenter.workload = require "workload" !workload;
         threshold = require "threshold" !threshold;
         decisions = List.rev !decisions;
       })
+
+let load ~path =
+  match parse path with
+  | plan -> Ok plan
+  | exception Bad_line (line, msg) ->
+    Error (Printf.sprintf "Plan_io.load: %s, line %d: %s" path line msg)
+  | exception Sys_error msg -> Error ("Plan_io.load: " ^ msg)

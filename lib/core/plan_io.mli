@@ -14,5 +14,6 @@
 
 val save : Sip_instrumenter.plan -> path:string -> unit
 
-val load : path:string -> Sip_instrumenter.plan
-(** @raise Failure on a malformed file. *)
+val load : path:string -> (Sip_instrumenter.plan, string) result
+(** A file that cannot be opened, or a malformed one, is an [Error]
+    naming the file and, for a parse error, the line. *)

@@ -98,8 +98,9 @@ let exp_settings settings =
     jobs = settings.jobs;
     cell_timeout = settings.cell_timeout;
     retries = settings.retries;
-    (* Chaos collects per-cell failures itself (a dead cell must not
-       discard its neighbours), so the pool always runs hardened. *)
+    (* Chaos keeps going cell by cell (a dead cell must not discard its
+       neighbours), so the runner always picks the hardened pool; without
+       [settings.keep_going] a lost cell still aborts the matrix. *)
     keep_going = true;
     journal_dir = settings.journal_dir;
     resume = settings.resume;
@@ -175,13 +176,7 @@ let run settings =
     List.map (fun w -> (w, Experiments.plan_for es w)) settings.workloads
   in
   let results =
-    Job_pool.run_hardened ~jobs:settings.jobs ?timeout:settings.cell_timeout
-      ~retries:settings.retries
-      ?journal:
-        (Option.map
-           (fun dir -> Filename.concat dir "chaos.journal")
-           settings.journal_dir)
-      ~resume:settings.resume ~journal_key
+    Experiments.run_cells ~journal_key es ~table:"chaos"
       (List.map
          (fun (workload, scheme_tag, plan) ->
            Job_pool.job
@@ -195,9 +190,7 @@ let run settings =
          (grid settings))
   in
   let cells = List.filter_map Result.to_option results in
-  let failed =
-    List.filter_map (function Error f -> Some f | Ok _ -> None) results
-  in
+  let failed = Experiments.failures results in
   if failed <> [] && not settings.keep_going then
     raise (Experiments.Cells_failed failed);
   {
@@ -297,9 +290,7 @@ let print_report settings outcome =
     outcome.violation_count
     (List.length outcome.failed);
   List.iter
-    (fun (f : Job_pool.failure) ->
-      Printf.eprintf "chaos cell %s failed after %d attempt(s): %s\n%!" f.label
-        f.attempts f.reason)
+    (fun f -> Printf.eprintf "chaos: cell %s\n%!" (Job_pool.describe f))
     outcome.failed
 
 let ok outcome = outcome.failed = [] && outcome.violation_count = 0

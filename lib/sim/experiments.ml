@@ -45,12 +45,7 @@ let () =
       Some
         (Printf.sprintf "Experiments.Cells_failed: %d cell(s):\n%s"
            (List.length fs)
-           (String.concat "\n"
-              (List.map
-                 (fun (f : Job_pool.failure) ->
-                   Printf.sprintf "  %s: %s (%d attempt(s))" f.label f.reason
-                     f.attempts)
-                 fs)))
+           (String.concat "\n" (List.map (fun f -> "  " ^ Job_pool.describe f) fs)))
     | _ -> None)
 
 type improvement_row = {
@@ -98,14 +93,17 @@ let workload_names () = List.map fst workload_families
 let runner_config settings =
   { Runner.default_config with epc_pages = settings.epc_pages }
 
-(* Every experiment run passes through the validator: no reproduction
-   figure is printed from a run whose own invariants do not hold. *)
-let run_checked ?config ?input_label ?fault_plan ?online ~scheme trace =
-  let r =
-    Runner.run
-      ~spec:(Runner.Spec.make ?config ?input_label ?fault_plan ?online ())
-      ~scheme trace
-  in
+(* The spec every experiment cell replays under unless its table varies
+   it: the settings' EPC size, labelled with the settings' input. *)
+let spec_of settings =
+  Runner.Spec.make ~config:(runner_config settings)
+    ~input_label:(Input.to_string settings.ref_input) ()
+
+(* The one way an experiment cell replays: every run passes through the
+   validator, so no reproduction figure is printed from a run whose own
+   invariants do not hold. *)
+let run_checked ~spec ~scheme trace =
+  let r = Runner.run ~spec ~scheme trace in
   Validate.assert_valid r;
   r
 
@@ -123,10 +121,11 @@ let plan_for ?threshold settings name =
   Instrumenter.plan_of_profile ?threshold profile
 
 let run_one settings ~scheme ?input name =
-  let input = Option.value input ~default:settings.ref_input in
-  let trace = trace_of settings name ~input in
-  run_checked ~config:(runner_config settings)
-    ~input_label:(Input.to_string input) ~scheme trace
+  let settings =
+    { settings with ref_input = Option.value input ~default:settings.ref_input }
+  in
+  run_checked ~spec:(spec_of settings) ~scheme
+    (trace_of settings name ~input:settings.ref_input)
 
 let row_of ~baseline (r : Runner.result) =
   {
@@ -152,12 +151,13 @@ let prewarm settings ?input names =
       ignore (Workload.Trace_arena.compile (trace_of settings name ~input)))
     (List.sort_uniq compare names)
 
-(* The explicit job-list representation of a table: every cell is a
-   labelled pure closure (ultimately over [run_checked]) producing a
-   marshalable value, and [cells] fans the list out across
-   [settings.jobs] forked workers, merging results in submission order.
-   Tables are therefore byte-identical at any [-j]; cells must not
-   print (the pool's contract, see {!Job_pool}). *)
+(* The one cell runner behind every matrix: each experiment table,
+   [chaos], [fleet] and [service].  Plain [Job_pool.run] unless a
+   timeout, retries, keep-going or a journal asks for the hardened pool
+   (one forked process per cell, watchdog, retry, journal); either way
+   the result is one [Ok]/[Error] per cell in submission order, and the
+   caller decides what a lost cell costs.  Each call journals under its
+   own [table] file, so labels need only be unique within the call. *)
 let hardened settings =
   settings.cell_timeout <> None || settings.retries > 0 || settings.keep_going
   || settings.journal_dir <> None
@@ -169,44 +169,51 @@ let settings_key settings =
     (Input.to_string settings.ref_input)
     settings.quick
 
+let run_cells ?journal_key settings ~table jobs =
+  if not (hardened settings) then
+    List.map Result.ok (Job_pool.run ~jobs:settings.jobs jobs)
+  else
+    Job_pool.run_hardened ~jobs:settings.jobs ?timeout:settings.cell_timeout
+      ~retries:settings.retries
+      ?journal:
+        (Option.map
+           (fun dir -> Filename.concat dir (table ^ ".journal"))
+           settings.journal_dir)
+      ~resume:settings.resume
+      ~journal_key:(Option.value journal_key ~default:(settings_key settings))
+      jobs
+
+let failures results =
+  List.filter_map (function Error f -> Some f | Ok _ -> None) results
+
+(* An experiment table keeps going at table granularity: a cell that
+   exhausted its retries fails the whole table (its rows would be
+   fabricated otherwise), and {!run_many} decides whether the rest of
+   the matrix continues. *)
+let run_table settings ~table jobs =
+  let results = run_cells settings ~table jobs in
+  match failures results with
+  | [] -> List.map Result.get_ok results
+  | fs -> raise (Cells_failed fs)
+
+(* A table as a job list: every cell is a labelled pure closure
+   producing a marshalable value; results merge in submission order, so
+   tables are byte-identical at any [-j].  Cells must not print (the
+   pool's contract, see {!Job_pool}). *)
 let cells settings ~table ~label ~f xs =
-  let jobs =
-    List.map
-      (fun x ->
-        Job_pool.job
-          ~label:(Printf.sprintf "%s/%s" table (label x))
-          (fun () -> f x))
-      xs
-  in
-  if not (hardened settings) then Job_pool.run ~jobs:settings.jobs jobs
-  else begin
-    let journal =
-      Option.map
-        (fun dir -> Filename.concat dir (table ^ ".journal"))
-        settings.journal_dir
-    in
-    let results =
-      Job_pool.run_hardened ~jobs:settings.jobs ?timeout:settings.cell_timeout
-        ~retries:settings.retries ?journal ~resume:settings.resume
-        ~journal_key:(settings_key settings) jobs
-    in
-    (* Keep-going granularity is the table: a cell that exhausted its
-       retries fails the whole table (its rows would be fabricated
-       otherwise), and the per-experiment driver decides whether the
-       rest of the matrix continues. *)
-    match List.filter_map (function Error f -> Some f | Ok _ -> None) results with
-    | [] -> List.map (function Ok v -> v | Error _ -> assert false) results
-    | failures -> raise (Cells_failed failures)
-  end
+  run_table settings ~table
+    (List.map
+       (fun x ->
+         Job_pool.job
+           ~label:(Printf.sprintf "%s/%s" table (label x))
+           (fun () -> f x))
+       xs)
 
 (* The dominant table shape: a [(key, tag)] grid where cells sharing a
-   key run the same trace under the same config and differ only in
-   scheme.  Each cell is one job replaying its trace under its scheme;
-   results come back in grid order, every run validated inside its job
-   exactly as [run_checked] would. *)
-let scheme_grid settings ~table ~config ?(input_label = "") ~key_label
+   key run the same trace under the same spec and differ only in
+   scheme.  Results come back in grid order. *)
+let scheme_grid settings ~table ?(spec = spec_of settings) ~key_label
     ~tag_label ~trace_of:trace_for ~scheme_of grid =
-  let spec = Runner.Spec.make ~config ~input_label () in
   let cell_label (k, tag) =
     let kl = key_label k in
     if kl = "" then tag_label tag
@@ -214,9 +221,7 @@ let scheme_grid settings ~table ~config ?(input_label = "") ~key_label
   in
   cells settings ~table ~label:cell_label
     ~f:(fun (k, tag) ->
-      let r = Runner.run ~spec ~scheme:(scheme_of k tag) (trace_for k) in
-      Validate.assert_valid r;
-      r)
+      run_checked ~spec ~scheme:(scheme_of k tag) (trace_for k))
     grid
 
 let improvement_table ?(paper = []) rows =
@@ -268,7 +273,7 @@ let intro_trace settings =
 
 let intro_runs settings =
   match
-    scheme_grid settings ~table:"intro" ~config:(runner_config settings)
+    scheme_grid settings ~table:"intro"
       ~key_label:(fun () -> "")
       ~tag_label:Fun.id
       ~trace_of:(fun () -> intro_trace settings)
@@ -311,9 +316,12 @@ let didactic_trace () =
        ~compute:60_000 ~jitter:0.0)
 
 let fig2_timelines settings =
-  let config = { (runner_config settings) with Runner.log_capacity = 128 } in
+  let spec = spec_of settings in
+  let spec =
+    { spec with config = { spec.config with Runner.log_capacity = 128 } }
+  in
   match
-    scheme_grid settings ~table:"fig2" ~config
+    scheme_grid settings ~table:"fig2" ~spec
       ~key_label:(fun () -> "")
       ~tag_label:Fun.id
       ~trace_of:(fun () -> didactic_trace ())
@@ -393,10 +401,10 @@ let instrument_site0_plan =
   }
 
 let fig4_costs settings =
-  let config = runner_config settings in
+  let spec = spec_of settings in
   let trace = single_fault_trace () in
-  let base = run_checked ~config ~scheme:Scheme.Baseline trace in
-  let sip = run_checked ~config ~scheme:(Scheme.Sip instrument_site0_plan) trace in
+  let base = run_checked ~spec ~scheme:Scheme.Baseline trace in
+  let sip = run_checked ~spec ~scheme:(Scheme.Sip instrument_site0_plan) trace in
   (base.cycles, sip.cycles)
 
 let print_fig4 settings =
@@ -489,8 +497,8 @@ let fig6_sweep settings =
         lengths
   in
   let runs =
-    scheme_grid settings ~table:"fig6" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"fig6"
+      ~key_label:Fun.id
       ~tag_label:(fun len ->
         match len with
         | None -> "baseline"
@@ -567,8 +575,8 @@ let fig7_sweep settings =
       benchmarks
   in
   let runs =
-    scheme_grid settings ~table:"fig7" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"fig7"
+      ~key_label:Fun.id
       ~tag_label:(fun len ->
         match len with
         | None -> "baseline"
@@ -634,8 +642,8 @@ let fig8_rows settings =
       benchmarks
   in
   let runs =
-    scheme_grid settings ~table:"fig8" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"fig8"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun b -> trace_of settings b ~input:settings.ref_input)
       ~scheme_of:(fun _ tag ->
@@ -713,8 +721,8 @@ let fig9_sweep settings =
      the train input. *)
   let baseline = run_one settings ~scheme:Scheme.Baseline ~input:Input.Train "deepsjeng" in
   let runs =
-    scheme_grid settings ~table:"fig9" ~config:(runner_config settings)
-      ~input_label:(Input.to_string Input.Train)
+    scheme_grid settings ~table:"fig9"
+      ~spec:(spec_of { settings with ref_input = Input.Train })
       ~key_label:(fun () -> "")
       ~tag_label:(fun threshold -> Printf.sprintf "t=%g" threshold)
       ~trace_of:(fun () -> trace_of settings "deepsjeng" ~input:Input.Train)
@@ -760,8 +768,8 @@ let fig10_rows settings =
     List.concat_map (fun b -> [ (b, "baseline"); (b, "sip") ]) benchmarks
   in
   let runs =
-    scheme_grid settings ~table:"fig10" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"fig10"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun b -> trace_of settings b ~input:settings.ref_input)
       ~scheme_of:(fun b tag ->
@@ -814,8 +822,8 @@ let fig11_rows settings =
     List.concat_map (fun name -> [ (name, "dfp"); (name, "sip") ]) names
   in
   let runs =
-    scheme_grid settings ~table:"fig11" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"fig11"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun name -> trace_of settings name ~input:settings.ref_input)
       ~scheme_of:(fun name tag ->
@@ -856,8 +864,8 @@ let fig12_rows settings =
       benchmarks
   in
   let runs =
-    scheme_grid settings ~table:"fig12" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"fig12"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun b -> trace_of settings b ~input:settings.ref_input)
       ~scheme_of:(fun b tag ->
@@ -886,8 +894,7 @@ let print_fig12 settings =
 let fig13_rows settings =
   let plan = plan_for settings "mixed-blood" in
   let runs =
-    scheme_grid settings ~table:"fig13" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input)
+    scheme_grid settings ~table:"fig13"
       ~key_label:(fun () -> "")
       ~tag_label:(fun tag -> "mixed-blood/" ^ tag)
       ~trace_of:(fun () ->
@@ -973,8 +980,8 @@ let ablation_predictor_rows settings =
       benchmarks
   in
   let runs =
-    scheme_grid settings ~table:"abl-predictor" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"abl-predictor"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun b -> trace_of settings b ~input:settings.ref_input)
       ~scheme_of:(fun _ tag ->
@@ -1015,7 +1022,7 @@ let ablation_backward_rows settings =
     [ ("DFP (backward on)", Some true); ("DFP (backward off)", Some false) ]
   in
   let runs =
-    scheme_grid settings ~table:"abl-backward" ~config:(runner_config settings)
+    scheme_grid settings ~table:"abl-backward"
       ~key_label:(fun () -> "")
       ~tag_label:fst
       ~trace_of:(fun () -> descending_trace settings)
@@ -1094,12 +1101,13 @@ let ablation_scan_rows settings =
       ~label:(fun (period, tag) -> Printf.sprintf "period=%d/%s" period tag)
       ~f:(fun (period, tag) ->
         let costs = { Sgxsim.Cost_model.paper with clock_scan_period = period } in
-        let config = { (runner_config settings) with Runner.costs } in
+        let spec = spec_of settings in
+        let spec = { spec with config = { spec.config with Runner.costs } } in
         let trace = trace_of settings "roms" ~input:settings.ref_input in
         let scheme =
           if tag = "baseline" then Scheme.Baseline else Scheme.dfp_stop
         in
-        run_checked ~config ~scheme trace)
+        run_checked ~spec ~scheme trace)
       grid
   in
   let table = List.map2 (fun k r -> (k, r)) grid runs in
@@ -1144,7 +1152,7 @@ let ablation_threads_rows settings =
     [ ("DFP (per-thread lists)", Some true); ("DFP (one shared list)", Some false) ]
   in
   let runs =
-    scheme_grid settings ~table:"abl-threads" ~config:(runner_config settings)
+    scheme_grid settings ~table:"abl-threads"
       ~key_label:(fun () -> "")
       ~tag_label:fst
       ~trace_of:(fun () -> trace)
@@ -1191,9 +1199,8 @@ let ablation_share_rows settings =
         let scheme =
           if tag = "baseline" then Scheme.Baseline else Scheme.dfp_default
         in
-        run_checked
-          ~config:{ (runner_config settings) with Runner.epc_pages = epc }
-          ~scheme trace)
+        run_checked ~spec:(spec_of { settings with epc_pages = epc }) ~scheme
+          trace)
       grid
   in
   let table = List.map2 (fun k r -> (k, r)) grid runs in
@@ -1244,8 +1251,8 @@ let ablation_sip_all_rows settings =
       benchmarks
   in
   let runs =
-    scheme_grid settings ~table:"abl-sip-all" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"abl-sip-all"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun b -> trace_of settings b ~input:settings.ref_input)
       ~scheme_of:(fun b tag ->
@@ -1291,8 +1298,8 @@ let ablation_oram_rows settings =
       names
   in
   let runs =
-    scheme_grid settings ~table:"abl-oram" ~config:(runner_config settings)
-      ~input_label:(Input.to_string settings.ref_input) ~key_label:Fun.id
+    scheme_grid settings ~table:"abl-oram"
+      ~key_label:Fun.id
       ~tag_label:Fun.id
       ~trace_of:(fun name -> trace_of settings name ~input:settings.ref_input)
       ~scheme_of:(fun _ tag ->
@@ -1329,6 +1336,17 @@ let fleet_workloads settings =
   if settings.quick then [ "lbm"; "deepsjeng" ]
   else [ "lbm"; "deepsjeng"; "mcf"; "xz" ]
 
+(* The scheme tags of the fleet and service matrices. *)
+let service_scheme_for settings name tag =
+  match tag with
+  | "baseline" -> Scheme.Baseline
+  | "dfp-stop" -> Scheme.dfp_stop
+  | "SIP" -> Scheme.Sip (plan_for settings name)
+  | "hybrid" -> hybrid_scheme (plan_for settings name)
+  | t -> invalid_arg ("Experiments: unknown scheme tag " ^ t)
+
+let service_tags = [ "baseline"; "dfp-stop"; "SIP"; "hybrid" ]
+
 let fleet_cells settings =
   let names = fleet_workloads settings in
   prewarm settings names;
@@ -1343,20 +1361,12 @@ let fleet_cells settings =
   let config =
     { Fleet.default_config with Fleet.epc_pages = settings.epc_pages }
   in
-  let scheme_for tag label =
-    match tag with
-    | "baseline" -> Scheme.Baseline
-    | "dfp-stop" -> Scheme.dfp_stop
-    | "SIP" -> Scheme.Sip (plan_for settings label)
-    | "hybrid" ->
-      Scheme.Hybrid (Dfp.with_stop Dfp.default_config, plan_for settings label)
-    | t -> invalid_arg ("Experiments.fleet: unknown scheme tag " ^ t)
-  in
-  Fleet.matrix ~jobs:settings.jobs ~config
-    ~input_label:(Input.to_string settings.ref_input) ~scheme_for
-    ~tags:[ "baseline"; "dfp-stop"; "SIP"; "hybrid" ]
-    ~modes:[ Fleet.Shared; Fleet.Partitioned ]
-    tenants
+  run_table settings ~table:"fleet"
+    (Fleet.matrix ~config ~input_label:(Input.to_string settings.ref_input)
+       ~scheme_for:(fun tag label -> service_scheme_for settings label tag)
+       ~tags:service_tags
+       ~modes:[ Fleet.Shared; Fleet.Partitioned ]
+       tenants)
 
 let print_fleet settings =
   Printf.printf
@@ -1389,28 +1399,12 @@ let service_config settings =
 let service_workloads settings =
   if settings.quick then [ "deepsjeng" ] else [ "lbm"; "deepsjeng" ]
 
-let service_scheme_for settings name tag =
-  match tag with
-  | "baseline" -> Scheme.Baseline
-  | "dfp-stop" -> Scheme.dfp_stop
-  | "SIP" -> Scheme.Sip (plan_for settings name)
-  | "hybrid" -> hybrid_scheme (plan_for settings name)
-  | t -> invalid_arg ("Experiments.service: unknown scheme tag " ^ t)
-
-let service_tags = [ "baseline"; "dfp-stop"; "SIP"; "hybrid" ]
-
-(* Service cells ride the same hardening settings as every other table:
-   plain [Job_pool.run] when nothing is hardened (zero behaviour
-   change), forked cells with timeout/retry/keep-going otherwise. *)
-let service_matrix settings ?config ?fault_plan ~input_label ~scheme_for ~tags
-    trace =
-  if not (hardened settings) then
-    Service.matrix ~jobs:settings.jobs ?config ?fault_plan ~input_label
-      ~scheme_for ~tags trace
-  else
-    Service.matrix ~jobs:settings.jobs ?timeout:settings.cell_timeout
-      ~retries:settings.retries ~keep_going:settings.keep_going ?config
-      ?fault_plan ~input_label ~scheme_for ~tags trace
+(* Consecutive groups of [n] (the cells one grid key contributes). *)
+let rec groups n = function
+  | [] -> []
+  | xs ->
+    let group = List.filteri (fun i _ -> i < n) xs in
+    group :: groups n (List.filteri (fun i _ -> i >= n) xs)
 
 let print_service settings =
   Printf.printf
@@ -1419,25 +1413,37 @@ let print_service settings =
   prewarm settings names;
   prewarm settings ~input:Input.Train names;
   let base = service_config settings in
-  let input_label = Input.to_string settings.ref_input in
+  (* One job list per printed table; each cell's label names its
+     config, so labels are unique within the pool call. *)
+  let matrix ?fault_plan ~label ~tags config name =
+    Service.matrix ~config ?fault_plan
+      ~input_label:(Input.to_string settings.ref_input) ~label
+      ~scheme_for:(service_scheme_for settings name) ~tags
+      (trace_of settings name ~input:settings.ref_input)
+  in
   (* 1. Per-scheme tails, synchronous vs switchless calls. *)
   List.iter
     (fun name ->
-      let trace = trace_of settings name ~input:settings.ref_input in
       Printf.printf "### %s: per-scheme request latency (%s arrivals)\n\n" name
         (Service.arrival_name base.Service.arrivals);
-      let cells_for switchless =
-        service_matrix settings ~config:{ base with Service.switchless }
-          ~input_label ~scheme_for:(service_scheme_for settings name)
-          ~tags:service_tags trace
-      in
-      Service.print_cells (cells_for false @ cells_for true);
+      let table = "service-" ^ name in
+      Service.print_cells
+        (run_table settings ~table
+           (List.concat_map
+              (fun (mode, switchless) ->
+                matrix ~label:(table ^ "/" ^ mode) ~tags:service_tags
+                  { base with Service.switchless } name)
+              [ ("sync", false); ("switchless", true) ]));
       print_newline ())
     names;
   (* 2. Throughput vs tail: squeeze the mean gap, watch p99 grow. *)
   let curve_name = List.hd names in
-  let curve_trace = trace_of settings curve_name ~input:settings.ref_input in
   let multipliers = if settings.quick then [ 2.0; 0.75 ] else [ 2.0; 1.0; 0.75 ] in
+  let gaps =
+    List.map
+      (fun m -> int_of_float (float_of_int base.Service.mean_gap *. m))
+      multipliers
+  in
   Printf.printf "### %s: throughput vs tail (offered load sweep)\n\n" curve_name;
   let t =
     Table.create
@@ -1450,16 +1456,20 @@ let print_service settings =
           ("dfp-stop p99", Table.Right);
         ]
   in
-  List.iter
-    (fun m ->
-      let gap =
-        int_of_float (float_of_int base.Service.mean_gap *. m)
-      in
-      let cells =
-        service_matrix settings ~config:{ base with Service.mean_gap = gap }
-          ~input_label ~scheme_for:(service_scheme_for settings curve_name)
-          ~tags:[ "baseline"; "dfp-stop" ] curve_trace
-      in
+  let load_tags = [ "baseline"; "dfp-stop" ] in
+  let load_cells =
+    run_table settings ~table:"service-load"
+      (List.concat_map
+         (fun gap ->
+           matrix
+             ~label:(Printf.sprintf "service-load/gap=%d" gap)
+             ~tags:load_tags
+             { base with Service.mean_gap = gap }
+             curve_name)
+         gaps)
+  in
+  List.iter2
+    (fun gap cells ->
       let o tag = List.assoc tag cells in
       let p99 tag =
         Table.cell_int
@@ -1474,21 +1484,27 @@ let print_service settings =
           thr "dfp-stop";
           p99 "dfp-stop";
         ])
-    multipliers;
+    gaps
+    (groups (List.length load_tags) load_cells);
   Table.print t;
   print_newline ();
   (* 3. Degraded-mode tails: the same service under a chaos fault plan. *)
   Printf.printf "### %s: degraded-mode tails (chaos fault plans)\n\n" curve_name;
   let plans = [ Fault_plan.none; Fault_plan.jittery_channel ] in
   let chaos_cells =
-    List.concat_map
-      (fun plan ->
-        List.map
-          (fun (tag, o) -> (plan.Fault_plan.name ^ "/" ^ tag, o))
-          (service_matrix settings ~config:base ~fault_plan:plan ~input_label
-             ~scheme_for:(service_scheme_for settings curve_name)
-             ~tags:[ "baseline"; "dfp-stop" ] curve_trace))
-      plans
+    List.concat
+      (List.map2
+         (fun (plan : Fault_plan.t) cells ->
+           List.map (fun (tag, o) -> (plan.name ^ "/" ^ tag, o)) cells)
+         plans
+         (groups (List.length load_tags)
+            (run_table settings ~table:"service-faults"
+               (List.concat_map
+                  (fun (plan : Fault_plan.t) ->
+                    matrix ~fault_plan:plan
+                      ~label:("service-faults/" ^ plan.name)
+                      ~tags:load_tags base curve_name)
+                  plans))))
   in
   Service.print_cells chaos_cells;
   print_string
@@ -1542,33 +1558,41 @@ let print_resilience settings =
   let name = List.hd (List.rev (service_workloads settings)) in
   prewarm settings [ name ];
   let trace = trace_of settings name ~input:settings.ref_input in
-  let input_label = Input.to_string settings.ref_input in
   let base = resilience_config settings in
-  let cell ?fault_plan config label =
-    List.map
-      (fun (tag, o) -> (label ^ "/" ^ tag, o))
-      (service_matrix settings ~config ?fault_plan ~input_label
-         ~scheme_for:(service_scheme_for settings name) ~tags:[ "dfp-stop" ]
-         trace)
+  (* One job list per printed table: [(label, fault plan, config)] per
+     cell, each cell serving dfp-stop only, printed as "label/tag". *)
+  let run_cells_of table cells =
+    List.map2
+      (fun (label, _, _) (tag, o) -> (label ^ "/" ^ tag, o))
+      cells
+      (run_table settings ~table
+         (List.concat_map
+            (fun (label, fault_plan, config) ->
+              Service.matrix ~config ~fault_plan
+                ~input_label:(Input.to_string settings.ref_input)
+                ~label:(table ^ "/" ^ label)
+                ~scheme_for:(service_scheme_for settings name)
+                ~tags:[ "dfp-stop" ] trace)
+            cells))
+  in
+  let with_resilience f =
+    { base with Service.resilience = f base.Service.resilience }
   in
   (* 1. Restart policy under the crash plans: a rewarmed instance
      re-requests the pages a crash wiped, so the requests queued behind
      the restart fault less and the tail recovers faster than cold. *)
   Printf.printf "### %s: cold vs rewarm restarts under crash plans\n\n" name;
   let restart_cells =
-    List.concat_map
-      (fun (plan : Fault_plan.t) ->
-        List.concat_map
-          (fun restart ->
-            cell ~fault_plan:plan
-              {
-                base with
-                Service.resilience =
-                  { base.Service.resilience with Service.restart };
-              }
-              (plan.Fault_plan.name ^ "/" ^ Runner.restart_policy_name restart))
-          [ Runner.Cold; Runner.Rewarm ])
-      [ Fault_plan.crashy_fleet; Fault_plan.flaky_service ]
+    run_cells_of "resilience-restart"
+      (List.concat_map
+         (fun (plan : Fault_plan.t) ->
+           List.map
+             (fun restart ->
+               ( plan.name ^ "/" ^ Runner.restart_policy_name restart,
+                 plan,
+                 with_resilience (fun r -> { r with Service.restart }) ))
+             [ Runner.Cold; Runner.Rewarm ])
+         [ Fault_plan.crashy_fleet; Fault_plan.flaky_service ])
   in
   Service.print_cells restart_cells;
   print_newline ();
@@ -1583,22 +1607,19 @@ let print_resilience settings =
     else Fault_plan.bank
   in
   let breaker_cells =
-    List.concat_map
-      (fun (plan : Fault_plan.t) ->
-        List.concat_map
-          (fun (blabel, breaker) ->
-            cell ~fault_plan:plan
-              {
-                base with
-                Service.resilience =
-                  { base.Service.resilience with Service.breaker };
-              }
-              (plan.Fault_plan.name ^ "/" ^ blabel))
-          [
-            ("breaker-off", None);
-            ("breaker-on", Some Preload.Breaker.default_config);
-          ])
-      breaker_plans
+    run_cells_of "resilience-breaker"
+      (List.concat_map
+         (fun (plan : Fault_plan.t) ->
+           List.map
+             (fun (blabel, breaker) ->
+               ( plan.name ^ "/" ^ blabel,
+                 plan,
+                 with_resilience (fun r -> { r with Service.breaker }) ))
+             [
+               ("breaker-off", None);
+               ("breaker-on", Some Preload.Breaker.default_config);
+             ])
+         breaker_plans)
   in
   Service.print_cells breaker_cells;
   print_string
@@ -1635,18 +1656,17 @@ let online_tags = [ "baseline"; "SIP (PGO)"; "dfp-stop"; "hybrid (PGO)"; "online
 (* Unlike every PGO row, the online cell's spec carries the controller
    and its scheme is plain [Baseline]: all preloading it does is learned
    from its own run, so cells get their own specs (no [scheme_grid],
-   whose cells share one). *)
-let online_scheme_and_spec settings ?fault_plan name tag =
-  let spec ?online () =
-    Runner.Spec.make ~config:(runner_config settings) ?fault_plan
-      ~input_label:(Input.to_string settings.ref_input) ?online ()
-  in
+   whose cells share one).  Building the spec by record update skips
+   [Spec.make]'s validation, which the stock plan and controller pass. *)
+let online_scheme_and_spec settings ?(fault_plan = Fault_plan.none) name tag =
+  let spec = { (spec_of settings) with fault_plan } in
   match tag with
-  | "baseline" -> (Scheme.Baseline, spec ())
-  | "SIP (PGO)" -> (Scheme.Sip (plan_for settings name), spec ())
-  | "dfp-stop" -> (Scheme.dfp_stop, spec ())
-  | "hybrid (PGO)" -> (hybrid_scheme (plan_for settings name), spec ())
-  | "online" -> (Scheme.Baseline, spec ~online:Preload.Online.default_config ())
+  | "baseline" -> (Scheme.Baseline, spec)
+  | "SIP (PGO)" -> (Scheme.Sip (plan_for settings name), spec)
+  | "dfp-stop" -> (Scheme.dfp_stop, spec)
+  | "hybrid (PGO)" -> (hybrid_scheme (plan_for settings name), spec)
+  | "online" ->
+    (Scheme.Baseline, { spec with online = Some Preload.Online.default_config })
   | t -> invalid_arg ("Experiments.online: unknown scheme tag " ^ t)
 
 let online_rows settings =
@@ -1661,12 +1681,7 @@ let online_rows settings =
       ~label:(fun (n, tag) -> Printf.sprintf "%s/%s" n tag)
       ~f:(fun (n, tag) ->
         let scheme, spec = online_scheme_and_spec settings n tag in
-        let r =
-          Runner.run ~spec ~scheme
-            (trace_of settings n ~input:settings.ref_input)
-        in
-        Validate.assert_valid r;
-        r)
+        run_checked ~spec ~scheme (trace_of settings n ~input:settings.ref_input))
       grid
   in
   let table = List.combine grid runs in
@@ -1706,12 +1721,7 @@ let online_epc_rows settings =
         let scheme, spec =
           online_scheme_and_spec settings ~fault_plan:(plan_of pname) name tag
         in
-        let r =
-          Runner.run ~spec ~scheme
-            (trace_of settings name ~input:settings.ref_input)
-        in
-        Validate.assert_valid r;
-        r)
+        run_checked ~spec ~scheme (trace_of settings name ~input:settings.ref_input))
       grid
   in
   let table = List.combine grid runs in
@@ -1821,13 +1831,6 @@ let run id settings =
       (Printf.sprintf "Experiments.run: unknown experiment %S (known: %s)" id
          (String.concat ", " (List.map fst all)))
 
-let run_all settings =
-  List.iter
-    (fun (id, _, printer) ->
-      ignore id;
-      printer settings)
-    catalog
-
 (* Keep-going driver: run each experiment, collecting instead of
    propagating failures when [settings.keep_going].  Failure reports go
    to stderr as they happen (stdout carries only the tables, keeping the
@@ -1841,8 +1844,7 @@ let run_many ids settings =
         run id settings;
         print_newline ()
       with
-      | (Job_pool.Job_failed _ | Cells_failed _ | Service.Cells_failed _) as e
-        when settings.keep_going ->
+      | Cells_failed _ as e when settings.keep_going ->
         let reason = Printexc.to_string e in
         Printf.eprintf "experiment %s failed: %s\n%!" id reason;
         failures := (id, reason) :: !failures)

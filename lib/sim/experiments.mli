@@ -38,8 +38,9 @@ val quick : settings
 exception Cells_failed of Job_pool.failure list
 (** Raised by a table whose cells exhausted their retry budget when any
     hardening option is active (with none active, the first failure
-    raises {!Job_pool.Job_failed} as before).  Carries {e every} failed
-    cell of the table, not just the first. *)
+    raises as {!Job_pool.run} does).  Carries {e every} failed cell of
+    the table, not just the first: a table fails whole and never prints
+    with a cell missing. *)
 
 (** {1 Workload catalog} *)
 
@@ -75,6 +76,29 @@ val settings_key : settings -> string
 (** The settings' contribution to a cell-journal key: journals written
     under one EPC size / input / sweep shape never satisfy another. *)
 
+(** {1 The cell runner} *)
+
+val run_cells :
+  ?journal_key:string ->
+  settings ->
+  table:string ->
+  'a Job_pool.job list ->
+  ('a, Job_pool.failure) result list
+(** The one runner behind every matrix: each experiment table, [chaos],
+    [fleet] and [service].  With no hardening option set (no
+    [cell_timeout], [retries = 0], no [keep_going], no [journal_dir]) it
+    is {!Job_pool.run} over [settings.jobs] workers: every result is
+    [Ok] and a failing cell raises.  Otherwise it is
+    {!Job_pool.run_hardened}, journaling into
+    [journal_dir/<table>.journal] under [journal_key] (default
+    {!settings_key}).  One result per job, in submission order; each
+    caller decides what a lost cell costs.  Labels must be unique within
+    one call, because a journal answers every occurrence of a label with
+    the first one's value. *)
+
+val failures : ('a, Job_pool.failure) result list -> Job_pool.failure list
+(** The lost cells of a {!run_cells} result, in submission order. *)
+
 (** {1 Data access} *)
 
 type improvement_row = {
@@ -106,10 +130,6 @@ val table1_rows : settings -> (string * string * int * float * float) list
 (** Per benchmark: (name, paper category, footprint pages,
     footprint/EPC ratio, irregular access share from profiling). *)
 
-val table1_miss_ratios : settings -> (string * float) list
-(** LRU miss ratio of each benchmark at the configured EPC size (the
-    baseline fault-rate estimate shown alongside Table 1). *)
-
 val fig6_sweep : settings -> (int * (string * float) list) list
 (** Stream-list-length sweep: for each length, (benchmark, normalized
     DFP time) for lbm and bwaves. *)
@@ -128,9 +148,6 @@ val fig9_sweep : settings -> (float * float) list
 val fig10_rows : settings -> (improvement_row * int) list
 (** SIP improvement + instrumentation points for the SIP-supported set. *)
 
-val fig11_rows : settings -> improvement_row list
-(** SIFT and MSER under DFP and SIP. *)
-
 val fig12_rows : settings -> improvement_row list
 (** SIP vs DFP vs hybrid for the C/C++ set. *)
 
@@ -148,12 +165,6 @@ val ablation_predictor_rows : settings -> improvement_row list
 val ablation_backward_rows : settings -> improvement_row list
 (** Backward-stream detection on/off over a descending sweep. *)
 
-val ablation_epc_rows : settings -> (int * float) list
-(** Microbenchmark DFP improvement vs EPC size. *)
-
-val ablation_scan_rows : settings -> (int * float * bool) list
-(** roms DFP-stop normalized time and stop status vs CLOCK scan period. *)
-
 val ablation_threads_rows : settings -> improvement_row list
 (** Multi-threaded scan: DFP with per-thread stream lists (Algorithm 1's
     [find_stream_list(ID)]) vs one shared list. *)
@@ -167,24 +178,6 @@ val ablation_sip_all_rows : settings -> improvement_row list
 (** Profile-guided SIP vs instrumenting every site (an Eleos-like
     check-everything runtime, security trade-offs aside). *)
 
-val ablation_oram_rows : settings -> improvement_row list
-(** DFP / DFP-stop on the boundary workloads: ORAM-style randomness
-    (§3.1), an adversarial pair-walk, and an ideal endless stream. *)
-
-val online_rows : settings -> improvement_row list
-(** E-online: the online adaptive controller (zero training input,
-    scheme [Baseline] plus {!Preload.Online.default_config} in the
-    spec) against the PGO rows — SIP, DFP-stop and the hybrid — on
-    phased and single-behaviour workloads.  The online rows' scheme
-    label carries the ["+online"] suffix. *)
-
-val online_epc_rows :
-  settings -> (string * float * float * Preload.Online.summary) list
-(** E-online's variable-EPC axis: mixed-blood under a fault-free plan
-    and a co-tenant frame-stealing plan ({!Fault_plan.noisy_neighbor}'s
-    [epc_budget] squeeze).  Per row (plan name, PGO-SIP normalized time,
-    online normalized time, the online controller's summary). *)
-
 (** {1 Driver} *)
 
 val all : (string * string) list
@@ -193,8 +186,6 @@ val all : (string * string) list
 val run : string -> settings -> unit
 (** Run one experiment by id and print its report.
     @raise Invalid_argument on an unknown id. *)
-
-val run_all : settings -> unit
 
 val run_many : string list -> settings -> (string * string) list
 (** Run the listed experiments in order.  With [settings.keep_going], an

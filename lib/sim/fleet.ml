@@ -229,34 +229,30 @@ let assert_valid outcome =
 
 type cell = { c_tag : string; c_mode : epc_mode; c_outcome : outcome }
 
-let matrix ?(jobs = 1) ?(config = default_config) ?(fault_plan = Fault_plan.none)
-    ?(input_label = "") ?online ~scheme_for ~tags ~modes tenants =
+let matrix ?(config = default_config) ?(fault_plan = Fault_plan.none)
+    ?(input_label = "") ~scheme_for ~tags ~modes tenants =
   if tenants = [] then invalid_arg "Fleet.matrix: empty fleet";
   (* Compile the tenants' traces before the cells fork, so the workers
      inherit the arenas instead of each compiling its own. *)
   List.iter (fun t -> ignore (Trace_arena.compile t.trace)) tenants;
-  let grid =
-    List.concat_map (fun tag -> List.map (fun mode -> (tag, mode)) modes) tags
-  in
-  let jobs_list =
-    List.map
-      (fun (tag, mode) ->
-        Job_pool.job
-          ~label:(Printf.sprintf "fleet/%s/%s" tag (mode_name mode))
-          (fun () ->
-            let fleet =
-              List.map (fun t -> { t with scheme = scheme_for tag t.label })
-                tenants
-            in
-            let outcome =
-              run ~config:{ config with mode } ~fault_plan ~input_label ?online
-                fleet
-            in
-            assert_valid outcome;
-            { c_tag = tag; c_mode = mode; c_outcome = outcome }))
-      grid
-  in
-  Job_pool.run ~jobs jobs_list
+  List.concat_map
+    (fun tag ->
+      List.map
+        (fun mode ->
+          Job_pool.job
+            ~label:(Printf.sprintf "fleet/%s/%s" tag (mode_name mode))
+            (fun () ->
+              let fleet =
+                List.map (fun t -> { t with scheme = scheme_for tag t.label })
+                  tenants
+              in
+              let outcome =
+                run ~config:{ config with mode } ~fault_plan ~input_label fleet
+              in
+              assert_valid outcome;
+              { c_tag = tag; c_mode = mode; c_outcome = outcome }))
+        modes)
+    tags
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)

@@ -106,25 +106,23 @@ val assert_valid : outcome -> unit
 type cell = { c_tag : string; c_mode : epc_mode; c_outcome : outcome }
 
 val matrix :
-  ?jobs:int ->
   ?config:config ->
   ?fault_plan:Fault_plan.t ->
   ?input_label:string ->
-  ?online:Preload.Online.config ->
   scheme_for:(string -> string -> Preload.Scheme.t) ->
   tags:string list ->
   modes:epc_mode list ->
   tenant list ->
-  cell list
-(** One fleet run per (scheme tag, mode) cell, fanned over [jobs] forked
-    workers ({!Job_pool}; submission order, so output is byte-identical
-    at any [-j]).  [scheme_for tag label] supplies each tenant's scheme
-    for the cell (called inside the worker — SIP plan profiling is paid
-    per cell, not serialised through the parent); the tenants' traces
-    are compiled before any cell forks, so workers share their arenas.
-    Every outcome passes
-    {!assert_valid} in its worker.  The input [tenant]s' own [scheme]
-    fields are placeholders. *)
+  cell Job_pool.job list
+(** One fleet-run job per (scheme tag, mode) cell, labelled
+    ["fleet/<tag>/<mode>"], in tag-major order; run the list through
+    {!Experiments.run_cells} (or {!Job_pool.run}).  [scheme_for tag
+    label] supplies each tenant's scheme for the cell (called inside the
+    worker — SIP plan profiling is paid per cell, not serialised through
+    the parent); the tenants' traces are compiled while the list is
+    built, before any cell forks, so workers share their arenas.  Every
+    outcome passes {!assert_valid} in its worker.  The input [tenant]s'
+    own [scheme] fields are placeholders. *)
 
 (** {1 Report} *)
 

@@ -41,6 +41,9 @@ exception Job_failed of { label : string; reason : string }
 
 type failure = { label : string; reason : string; attempts : int }
 
+let describe (f : failure) =
+  Printf.sprintf "%s: %s (%d attempt(s))" f.label f.reason f.attempts
+
 let () =
   Printexc.register_printer (function
     | Job_failed { label; reason } ->

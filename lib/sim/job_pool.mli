@@ -24,8 +24,9 @@
       job's label; a worker that dies without reporting (segfault,
       [kill -9], OOM) is detected from its exit status and named.
 
-    {!run_hardened} is the resilient variant underneath the [chaos] and
-    hardened [experiment] CLI drivers: one forked process per cell,
+    {!run_hardened} is the resilient variant, which the one cell runner
+    ({!Experiments.run_cells}) picks for every matrix once a hardening
+    option is set: one forked process per cell,
     per-cell wall-clock timeout (hung workers are SIGKILLed), bounded
     retry with exponential backoff, keep-going semantics (every cell
     yields a [result]; a failure never discards completed neighbours),
@@ -56,6 +57,10 @@ type failure = { label : string; reason : string; attempts : int }
 (** A cell that exhausted its retry budget.  [attempts] counts actual
     executions, so it equals [retries + 1] for a cell that failed every
     attempt. *)
+
+val describe : failure -> string
+(** ["label: reason (n attempt(s))"], the one line every driver prints
+    for a lost cell. *)
 
 val run : ?jobs:int -> 'a job list -> 'a list
 (** [run ~jobs js] executes every job and returns their results in

@@ -442,64 +442,19 @@ let assert_valid outcome =
   | [] -> ()
   | violations -> raise (Validate.Invalid violations)
 
-exception Cells_failed of Job_pool.failure list
-
-let () =
-  Printexc.register_printer (function
-    | Cells_failed fs ->
-      Some
-        (Printf.sprintf "Service.Cells_failed: %d cell(s):\n%s"
-           (List.length fs)
-           (String.concat "\n"
-              (List.map
-                 (fun (f : Job_pool.failure) ->
-                   Printf.sprintf "  %s: %s (%d attempt(s))" f.label f.reason
-                     f.attempts)
-                 fs)))
-    | _ -> None)
-
-let matrix ?(jobs = 1) ?timeout ?retries ?(keep_going = false) ?config
-    ?fault_plan ?input_label ~scheme_for ~tags trace =
+let matrix ?config ?fault_plan ?input_label ~label ~scheme_for ~tags trace =
   (* Compile the trace before the cells fork, so the workers inherit the
      arena instead of each compiling its own. *)
   ignore (Trace_arena.compile trace);
-  let jobs_list =
-    List.map
-      (fun tag ->
-        Job_pool.job ~label:("service/" ^ tag) (fun () ->
-            let outcome =
-              run ?config ?fault_plan ?input_label ~scheme:(scheme_for tag)
-                trace
-            in
-            assert_valid outcome;
-            outcome))
-      tags
-  in
-  if timeout = None && retries = None && not keep_going then
-    List.combine tags (Job_pool.run ~jobs jobs_list)
-  else begin
-    (* The hardened path: forked cells, per-cell wall-clock timeout,
-       bounded retry.  Without [keep_going] any exhausted cell fails the
-       whole matrix (its row would be fabricated otherwise); with it,
-       surviving cells are returned and failures go to stderr only, so
-       stdout stays byte-identical across [-j]. *)
-    let results = Job_pool.run_hardened ~jobs ?timeout ?retries jobs_list in
-    let paired = List.combine tags results in
-    let failures =
-      List.filter_map
-        (function _, Error f -> Some f | _, Ok _ -> None)
-        paired
-    in
-    if failures <> [] && not keep_going then raise (Cells_failed failures);
-    List.iter
-      (fun (f : Job_pool.failure) ->
-        Printf.eprintf "service: cell %s failed: %s (%d attempt(s))\n%!"
-          f.label f.reason f.attempts)
-      failures;
-    List.filter_map
-      (function tag, Ok o -> Some (tag, o) | _, Error _ -> None)
-      paired
-  end
+  List.map
+    (fun tag ->
+      Job_pool.job ~label:(label ^ "/" ^ tag) (fun () ->
+          let outcome =
+            run ?config ?fault_plan ?input_label ~scheme:(scheme_for tag) trace
+          in
+          assert_valid outcome;
+          (tag, outcome)))
+    tags
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -181,35 +181,21 @@ val check : outcome -> Validate.violation list
 val assert_valid : outcome -> unit
 (** @raise Validate.Invalid when {!check} reports anything. *)
 
-exception Cells_failed of Job_pool.failure list
-(** A hardened {!matrix} cell exhausted its retry budget (and
-    [keep_going] was off). *)
-
 val matrix :
-  ?jobs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?keep_going:bool ->
   ?config:config ->
   ?fault_plan:Fault_plan.t ->
   ?input_label:string ->
+  label:string ->
   scheme_for:(string -> Preload.Scheme.t) ->
   tags:string list ->
   Workload.Trace.t ->
-  (string * outcome) list
-(** One {!run} per tag, fanned through {!Job_pool} ([jobs] workers,
-    submission-order merge) with each outcome {!assert_valid}ed in its
-    worker.  Results pair each tag with its outcome, in [tags] order.
-    The trace is compiled before any cell forks, so workers share its
-    arena.
-
-    With any of [timeout] (seconds per attempt), [retries] or
-    [keep_going] set, cells run through {!Job_pool.run_hardened}: hung
-    cells are killed at the timeout, failing cells re-run up to
-    [retries] times, and — without [keep_going] — an exhausted cell
-    raises {!Cells_failed}.  With [keep_going:true] the surviving cells
-    are returned (failures reported on stderr only, keeping stdout
-    byte-identical across [-j]). *)
+  (string * outcome) Job_pool.job list
+(** One {!run} job per tag, labelled ["<label>/<tag>"], each yielding
+    the tag and its outcome, {!assert_valid}ed in its worker; run the
+    list through {!Experiments.run_cells} (or {!Job_pool.run}).
+    [scheme_for] is called inside the worker.  The trace is compiled
+    while the list is built, before any cell forks, so workers share its
+    arena. *)
 
 val summary_table : (string * outcome) list -> Repro_util.Table.t
 (** The per-scheme p50/p95/p99/p999 + SLO table — the stable surface

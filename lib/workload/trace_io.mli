@@ -22,7 +22,11 @@ val save_trace : Trace.t -> path:string -> unit
 (** Materialise the trace's events into [path].  The file replays the
     exact event stream (the generator is not stored). *)
 
-val load_trace : path:string -> Trace.t
+val load_trace : path:string -> (Trace.t, string) result
 (** Read a trace saved by {!save_trace}.  The returned trace replays the
-    recorded events verbatim (its stored seed is irrelevant).
-    @raise Failure on a malformed file. *)
+    recorded events verbatim (its stored seed is irrelevant).  A file
+    that cannot be opened, or a malformed one, is an [Error] naming the
+    file and, for a parse error, the line: a malformed or negative
+    field, a missing or non-positive [elrange] or [footprint], a
+    footprint past the elrange, or an access to a page outside
+    [\[0, elrange)]. *)

@@ -11,7 +11,7 @@
    3. Multi-tenant runs satisfy the {!Sim.Validate.check_fleet}
       conservation laws on every chaos-bank plan, in both EPC modes and
       under every channel policy, and are deterministic (same outcome on
-      a re-run, and across [Fleet.matrix ~jobs]).
+      a re-run, and across the [Fleet.matrix] job list at any [-j]).
    4. The budget-shrink satellite fix: under a co-tenant fault plan,
       residency never exceeds the frame budget at any synced instant. *)
 
@@ -233,10 +233,11 @@ let test_matrix_jobs_deterministic () =
     | t -> invalid_arg t
   in
   let run jobs =
-    Fleet.matrix ~jobs ~config:(fleet_config Fleet.Shared) ~scheme_for
-      ~tags:[ "baseline"; "dfp-stop" ]
-      ~modes:[ Fleet.Shared; Fleet.Partitioned ]
-      tenants
+    Sim.Job_pool.run ~jobs
+      (Fleet.matrix ~config:(fleet_config Fleet.Shared) ~scheme_for
+         ~tags:[ "baseline"; "dfp-stop" ]
+         ~modes:[ Fleet.Shared; Fleet.Partitioned ]
+         tenants)
   in
   let serial = run 1 and parallel = run 2 in
   checki "cell count" 4 (List.length serial);

@@ -395,8 +395,9 @@ let rscheme_for = function
 let test_crashy_matrix_j_identity () =
   let render cells = Table.render (Service.summary_table cells) in
   let go jobs =
-    Service.matrix ~jobs ~config:sconfig ~fault_plan:crash_test_plan
-      ~scheme_for:rscheme_for ~tags:rtags trace
+    Sim.Job_pool.run ~jobs
+      (Service.matrix ~config:sconfig ~fault_plan:crash_test_plan
+         ~label:"service" ~scheme_for:rscheme_for ~tags:rtags trace)
   in
   let serial = go 1 in
   check Alcotest.string "-j1 = -j4 with crashes" (render serial)

@@ -305,10 +305,14 @@ let scheme_for = function
   | "native" -> Scheme.Native
   | t -> invalid_arg t
 
+let matrix jobs =
+  Sim.Job_pool.run ~jobs
+    (Service.matrix ~config ~label:"service" ~scheme_for ~tags trace)
+
 let test_matrix_parallel_equals_serial () =
   let render cells = Table.render (Service.summary_table cells) in
-  let serial = Service.matrix ~jobs:1 ~config ~scheme_for ~tags trace in
-  let forked = Service.matrix ~jobs:2 ~config ~scheme_for ~tags trace in
+  let serial = matrix 1 in
+  let forked = matrix 2 in
   check
     Alcotest.(list string)
     "tag order preserved" tags (List.map fst serial);
@@ -316,8 +320,8 @@ let test_matrix_parallel_equals_serial () =
 
 let test_matrix_rerun_identical () =
   let render cells = Table.render (Service.summary_table cells) in
-  let a = Service.matrix ~jobs:1 ~config ~scheme_for ~tags trace in
-  let b = Service.matrix ~jobs:1 ~config ~scheme_for ~tags trace in
+  let a = matrix 1 in
+  let b = matrix 1 in
   check Alcotest.string "same seed, same table" (render a) (render b)
 
 (* ------------------------------------------------------------------ *)
