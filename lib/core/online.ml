@@ -1,5 +1,6 @@
 module Enclave = Sgxsim.Enclave
 module Int_table = Repro_util.Int_table
+module Page_lru = Repro_util.Page_lru
 
 type mode = Baseline | Dfp | Sip | Hybrid
 

@@ -96,7 +96,7 @@ val create :
   unit ->
   t
 (** Fresh controller.  [residency_pages] sizes the classifier's
-    residency proxy (the EPC frame count, an exact {!Page_lru}) and
+    residency proxy (the EPC frame count, an exact {!Repro_util.Page_lru}) and
     [elrange_pages] its page domain: every observed page must lie in
     [\[0, elrange_pages)].  [can_dfp]/[can_sip] (both
     default [true]) record which actuation slots the base scheme left

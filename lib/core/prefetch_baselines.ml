@@ -1,4 +1,5 @@
 module Enclave = Sgxsim.Enclave
+module Page_lru = Repro_util.Page_lru
 
 type t = { name : string }
 

@@ -1,5 +1,6 @@
 module Trace = Workload.Trace
 module Int_table = Repro_util.Int_table
+module Page_lru = Repro_util.Page_lru
 
 type access_class = Class1 | Class2 | Class3
 

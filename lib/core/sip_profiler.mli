@@ -50,7 +50,8 @@ val profile : ?input:string -> config -> Workload.Trace.t -> t
     workload input produced the trace (e.g. ["train"]) and is carried
     verbatim into the profile's [input] field; default [""]. *)
 
-val classify_one : Stream_predictor.t -> Page_lru.t -> int -> access_class
+val classify_one :
+  Stream_predictor.t -> Repro_util.Page_lru.t -> int -> access_class
 (** The classification step for a single page access, shared with
     {!Online}: checks residency, then stream cover
     ({!Stream_predictor.covers}), then falls through to Class 3.  Mutates

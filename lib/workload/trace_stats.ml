@@ -121,36 +121,15 @@ let analyse trace =
 let miss_ratio trace ~epc_pages =
   if epc_pages <= 0 then invalid_arg "Trace_stats.miss_ratio: epc_pages must be positive";
   let arena = Trace_arena.compile trace in
-  (* Reuse the core library's trick without depending on it: a lazy LRU
-     set of page numbers. *)
-  let stamps = Hashtbl.create (2 * epc_pages) in
-  let queue = Queue.create () in
-  let clock = ref 0 in
-  let misses = ref 0 in
-  let events = ref 0 in
-  let evict () =
-    let rec pop () =
-      match Queue.take_opt queue with
-      | None -> ()
-      | Some (page, stamp) -> (
-        match Hashtbl.find_opt stamps page with
-        | Some fresh when fresh = stamp -> Hashtbl.remove stamps page
-        | Some _ | None -> pop ())
-    in
-    pop ()
+  let lru =
+    Repro_util.Page_lru.create ~capacity:epc_pages
+      ~pages:trace.Trace.elrange_pages
   in
+  let misses = ref 0 in
   Trace_arena.iter arena ~f:(fun ~site:_ ~vpage ~compute:_ ~thread:_ ->
-      incr events;
-      let hit = Hashtbl.mem stamps vpage in
-      if not hit then incr misses;
-      incr clock;
-      Hashtbl.replace stamps vpage !clock;
-      Queue.add (vpage, !clock) queue;
-      if not hit then
-        while Hashtbl.length stamps > epc_pages do
-          evict ()
-        done);
-  if !events = 0 then 0.0 else float_of_int !misses /. float_of_int !events
+      if not (Repro_util.Page_lru.touch lru vpage) then incr misses);
+  let events = Trace_arena.length arena in
+  if events = 0 then 0.0 else float_of_int !misses /. float_of_int events
 
 let miss_ratio_curve trace ~epc_pages =
   List.map (fun epc -> (epc, miss_ratio trace ~epc_pages:epc)) epc_pages

@@ -38,7 +38,9 @@ val analyse : Trace.t -> t
 
 val miss_ratio : Trace.t -> epc_pages:int -> float
 (** Fraction of accesses that miss an LRU set of [epc_pages] pages — a
-    fast approximation of the baseline fault rate at that EPC size. *)
+    fast approximation of the baseline fault rate at that EPC size.  The
+    trace's pages must lie inside its ELRANGE.
+    @raise Invalid_argument if [epc_pages <= 0]. *)
 
 val miss_ratio_curve : Trace.t -> epc_pages:int list -> (int * float) list
 (** {!miss_ratio} at several sizes, one replay per size. *)

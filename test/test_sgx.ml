@@ -1087,25 +1087,25 @@ let test_alloc_histogram_add_int () =
   check_words "Histogram.add_int" ~at_most:0.01 words
 
 let test_alloc_lru_touch_resident () =
-  let l = Preload.Page_lru.create ~capacity:8 ~pages:1024 in
-  List.iter (fun p -> ignore (Preload.Page_lru.touch l p)) [ 1; 2; 3 ];
+  let l = Repro_util.Page_lru.create ~capacity:8 ~pages:1024 in
+  List.iter (fun p -> ignore (Repro_util.Page_lru.touch l p)) [ 1; 2; 3 ];
   (* Alternate, so each touch moves a page that is not the head. *)
   let next = ref 1 in
   sink := 0;
   let words =
     words_per_call 10_000 (fun () ->
         next := 3 - !next;
-        if Preload.Page_lru.touch l !next then incr sink)
+        if Repro_util.Page_lru.touch l !next then incr sink)
   in
   checki "every touch hit" 10_000 !sink;
   check_words "Page_lru.touch of a resident page" ~at_most:0.01 words
 
 let test_alloc_lru_touch_evicting () =
   (* 100 pages cycled through 8 slots: every touch inserts and evicts. *)
-  let l = Preload.Page_lru.create ~capacity:8 ~pages:100 in
+  let l = Repro_util.Page_lru.create ~capacity:8 ~pages:100 in
   let next = ref 0 in
   let touch () =
-    if Preload.Page_lru.touch l !next then incr sink;
+    if Repro_util.Page_lru.touch l !next then incr sink;
     next := (!next + 1) mod 100
   in
   for _ = 1 to 100 do
@@ -1114,7 +1114,7 @@ let test_alloc_lru_touch_evicting () =
   sink := 0;
   let words = words_per_call 10_000 touch in
   checki "every touch missed" 0 !sink;
-  checki "at capacity" 8 (Preload.Page_lru.size l);
+  checki "at capacity" 8 (Repro_util.Page_lru.size l);
   check_words "Page_lru.touch of a new page at capacity" ~at_most:0.01 words
 
 let test_alloc_online_observe_resident () =
