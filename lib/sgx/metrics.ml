@@ -80,6 +80,42 @@ let total_faults t = t.faults + t.faults_in_flight + t.faults_already_present
 
 let copy t = { t with cyc_compute = t.cyc_compute }
 
+let fields =
+  [
+    ("cyc_compute", fun t -> t.cyc_compute);
+    ("cyc_access", fun t -> t.cyc_access);
+    ("cyc_aex", fun t -> t.cyc_aex);
+    ("cyc_eresume", fun t -> t.cyc_eresume);
+    ("cyc_os_handler", fun t -> t.cyc_os_handler);
+    ("cyc_load_wait", fun t -> t.cyc_load_wait);
+    ("cyc_bitmap_check", fun t -> t.cyc_bitmap_check);
+    ("cyc_notify", fun t -> t.cyc_notify);
+    ("cyc_sip_wait", fun t -> t.cyc_sip_wait);
+    ("cyc_restart", fun t -> t.cyc_restart);
+    ("accesses", fun t -> t.accesses);
+    ("faults", fun t -> t.faults);
+    ("faults_in_flight", fun t -> t.faults_in_flight);
+    ("faults_already_present", fun t -> t.faults_already_present);
+    ("total_faults", total_faults);
+    ("preloads_requested", fun t -> t.preloads_requested);
+    ("preloads_rejected_range", fun t -> t.preloads_rejected_range);
+    ("preloads_rejected_dup", fun t -> t.preloads_rejected_dup);
+    ("preloads_issued", fun t -> t.preloads_issued);
+    ("preloads_rejected_breaker", fun t -> t.preloads_rejected_breaker);
+    ("preloads_completed", fun t -> t.preloads_completed);
+    ("preloads_aborted", fun t -> t.preloads_aborted);
+    ("preloads_taken_over", fun t -> t.preloads_taken_over);
+    ("preloads_skipped", fun t -> t.preloads_skipped);
+    ("preload_hits", fun t -> t.preload_hits);
+    ("preload_evicted_unused", fun t -> t.preload_evicted_unused);
+    ("evictions", fun t -> t.evictions);
+    ("sip_checks", fun t -> t.sip_checks);
+    ("sip_notifies", fun t -> t.sip_notifies);
+    ("scans", fun t -> t.scans);
+    ("crashes", fun t -> t.crashes);
+    ("crash_pages_lost", fun t -> t.crash_pages_lost);
+  ]
+
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>cycles: total=%d compute=%d access=%d aex=%d eresume=%d handler=%d \

@@ -82,4 +82,11 @@ val total_faults : t -> int
 
 val copy : t -> t
 
+val fields : (string * (t -> int)) list
+(** Every counter by name, in export order: the ten [cyc_*] categories,
+    then the event counters.  One entry is derived: [total_faults]
+    ({!total_faults}), between [faults_already_present] and
+    [preloads_requested].  The export columns and the non-negativity
+    check map over this list. *)
+
 val pp : Format.formatter -> t -> unit

@@ -201,7 +201,6 @@ let chrome_trace (r : Runner.result) =
 let columns : (string * (Runner.result -> string)) list =
   let int name f = (name, fun r -> string_of_int (f r)) in
   let bool name f = (name, fun r -> if f r then "true" else "false") in
-  let metric name f = int name (fun (r : Runner.result) -> f r.metrics) in
   let diag name f = int name (fun (r : Runner.result) -> f r.diagnostics) in
   let online name ~none f =
     ( name,
@@ -216,60 +215,33 @@ let columns : (string * (Runner.result -> string)) list =
     ("scheme", fun r -> str r.Runner.scheme);
     int "cycles" (fun r -> r.Runner.cycles);
     int "final_now" (fun r -> r.Runner.final_now);
-    metric "cyc_compute" (fun m -> m.cyc_compute);
-    metric "cyc_access" (fun m -> m.cyc_access);
-    metric "cyc_aex" (fun m -> m.cyc_aex);
-    metric "cyc_eresume" (fun m -> m.cyc_eresume);
-    metric "cyc_os_handler" (fun m -> m.cyc_os_handler);
-    metric "cyc_load_wait" (fun m -> m.cyc_load_wait);
-    metric "cyc_bitmap_check" (fun m -> m.cyc_bitmap_check);
-    metric "cyc_notify" (fun m -> m.cyc_notify);
-    metric "cyc_sip_wait" (fun m -> m.cyc_sip_wait);
-    metric "cyc_restart" (fun m -> m.cyc_restart);
-    metric "accesses" (fun m -> m.accesses);
-    metric "faults" (fun m -> m.faults);
-    metric "faults_in_flight" (fun m -> m.faults_in_flight);
-    metric "faults_already_present" (fun m -> m.faults_already_present);
-    metric "total_faults" Metrics.total_faults;
-    metric "preloads_requested" (fun m -> m.preloads_requested);
-    metric "preloads_rejected_range" (fun m -> m.preloads_rejected_range);
-    metric "preloads_rejected_dup" (fun m -> m.preloads_rejected_dup);
-    metric "preloads_issued" (fun m -> m.preloads_issued);
-    metric "preloads_rejected_breaker" (fun m -> m.preloads_rejected_breaker);
-    metric "preloads_completed" (fun m -> m.preloads_completed);
-    metric "preloads_aborted" (fun m -> m.preloads_aborted);
-    metric "preloads_taken_over" (fun m -> m.preloads_taken_over);
-    metric "preloads_skipped" (fun m -> m.preloads_skipped);
-    metric "preload_hits" (fun m -> m.preload_hits);
-    metric "preload_evicted_unused" (fun m -> m.preload_evicted_unused);
-    metric "evictions" (fun m -> m.evictions);
-    metric "sip_checks" (fun m -> m.sip_checks);
-    metric "sip_notifies" (fun m -> m.sip_notifies);
-    metric "scans" (fun m -> m.scans);
-    metric "crashes" (fun m -> m.crashes);
-    metric "crash_pages_lost" (fun m -> m.crash_pages_lost);
-    bool "dfp_stopped" (fun r -> r.Runner.dfp_stopped);
-    int "instrumentation_points" (fun r -> r.Runner.instrumentation_points);
-    diag "pending_preloads" (fun d -> d.Runner.pending_preloads);
-    diag "in_flight_preloads" (fun d -> d.Runner.in_flight_preloads);
-    ( "in_flight_kind",
-      fun r ->
-        str
-          (match r.Runner.diagnostics.Runner.in_flight_kind with
-          | None -> "none"
-          | Some k -> kind_str k) );
-    diag "resident_at_end" (fun d -> d.Runner.resident_at_end);
-    bool "events_truncated" (fun r ->
-        r.Runner.diagnostics.Runner.events_truncated);
-    online "online_mode" ~none:(str "none") (fun s ->
-        str (Preload.Online.mode_name s.Preload.Online.final_mode));
-    online "online_transitions" ~none:"0" (fun s ->
-        string_of_int (List.length s.Preload.Online.s_transitions));
-    online "online_phase_shifts" ~none:"0" (fun s ->
-        string_of_int s.Preload.Online.s_phase_shifts);
-    online "online_instrumented" ~none:"0" (fun s ->
-        string_of_int s.Preload.Online.s_instrumented);
   ]
+  @ List.map
+      (fun (name, f) -> int name (fun (r : Runner.result) -> f r.metrics))
+      Metrics.fields
+  @ [
+      bool "dfp_stopped" (fun r -> r.Runner.dfp_stopped);
+      int "instrumentation_points" (fun r -> r.Runner.instrumentation_points);
+      diag "pending_preloads" (fun d -> d.Runner.pending_preloads);
+      diag "in_flight_preloads" (fun d -> d.Runner.in_flight_preloads);
+      ( "in_flight_kind",
+        fun r ->
+          str
+            (match r.Runner.diagnostics.Runner.in_flight_kind with
+            | None -> "none"
+            | Some k -> kind_str k) );
+      diag "resident_at_end" (fun d -> d.Runner.resident_at_end);
+      bool "events_truncated" (fun r ->
+          r.Runner.diagnostics.Runner.events_truncated);
+      online "online_mode" ~none:(str "none") (fun s ->
+          str (Preload.Online.mode_name s.Preload.Online.final_mode));
+      online "online_transitions" ~none:"0" (fun s ->
+          string_of_int (List.length s.Preload.Online.s_transitions));
+      online "online_phase_shifts" ~none:"0" (fun s ->
+          string_of_int s.Preload.Online.s_phase_shifts);
+      online "online_instrumented" ~none:"0" (fun s ->
+          string_of_int s.Preload.Online.s_instrumented);
+    ]
 
 let row_fields r = List.map (fun (name, cell) -> (name, cell r)) columns
 

@@ -320,37 +320,15 @@ let check_conservation (r : Runner.result) =
    a negative value means an accounting path went backwards (e.g. a
    perturbed load duration shorter than the span already charged). *)
 let check_non_negative (r : Runner.result) =
-  let m = r.metrics in
   let counters =
-    [
-      ("cyc_compute", m.Metrics.cyc_compute); ("cyc_access", m.cyc_access);
-      ("cyc_aex", m.cyc_aex); ("cyc_eresume", m.cyc_eresume);
-      ("cyc_os_handler", m.cyc_os_handler); ("cyc_load_wait", m.cyc_load_wait);
-      ("cyc_bitmap_check", m.cyc_bitmap_check); ("cyc_notify", m.cyc_notify);
-      ("cyc_sip_wait", m.cyc_sip_wait); ("accesses", m.accesses);
-      ("faults", m.faults); ("faults_in_flight", m.faults_in_flight);
-      ("faults_already_present", m.faults_already_present);
-      ("preloads_requested", m.preloads_requested);
-      ("preloads_rejected_range", m.preloads_rejected_range);
-      ("preloads_rejected_dup", m.preloads_rejected_dup);
-      ("preloads_issued", m.preloads_issued);
-      ("preloads_completed", m.preloads_completed);
-      ("preloads_aborted", m.preloads_aborted);
-      ("preloads_taken_over", m.preloads_taken_over);
-      ("preloads_skipped", m.preloads_skipped);
-      ("preload_hits", m.preload_hits);
-      ("preload_evicted_unused", m.preload_evicted_unused);
-      ("evictions", m.evictions); ("sip_checks", m.sip_checks);
-      ("sip_notifies", m.sip_notifies); ("scans", m.scans);
-      ("cyc_restart", m.cyc_restart);
-      ("preloads_rejected_breaker", m.preloads_rejected_breaker);
-      ("crashes", m.crashes); ("crash_pages_lost", m.crash_pages_lost);
-      ("cycles", r.cycles); ("final_now", r.final_now);
-      ("pending_preloads", r.diagnostics.Runner.pending_preloads);
-      ("in_flight_preloads", r.diagnostics.Runner.in_flight_preloads);
-      ("restarts", r.diagnostics.Runner.restarts);
-      ("breaker_trips", r.diagnostics.Runner.breaker_trips);
-    ]
+    List.map (fun (name, f) -> (name, f r.metrics)) Metrics.fields
+    @ [
+        ("cycles", r.cycles); ("final_now", r.final_now);
+        ("pending_preloads", r.diagnostics.Runner.pending_preloads);
+        ("in_flight_preloads", r.diagnostics.Runner.in_flight_preloads);
+        ("restarts", r.diagnostics.Runner.restarts);
+        ("breaker_trips", r.diagnostics.Runner.breaker_trips);
+      ]
   in
   List.filter_map
     (fun (name, value) ->
