@@ -20,7 +20,7 @@ type t = {
   channel : Load_channel.t;
   metrics : Metrics.t;
   bitmap : Bitset.t;
-  mutable log : Event.log;
+  log : Event.log;
   mutable next_scan : int;
   mutable peers : t array option;
       (* Co-tenants sharing [epc], indexed by owner tag; [None] outside a
@@ -664,4 +664,3 @@ let in_flight_kind t =
   if Load_channel.in_flight_vpage t.channel < 0 then None
   else Some (Load_channel.in_flight_kind t.channel)
 let events t = Event.events t.log
-let set_log t log = t.log <- log

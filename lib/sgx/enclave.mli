@@ -225,4 +225,3 @@ val in_flight_kind : t -> Load_channel.kind option
 (** Kind of the load occupying the channel, [None] when it is idle. *)
 
 val events : t -> Event.t list
-val set_log : t -> Event.log -> unit

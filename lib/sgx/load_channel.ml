@@ -349,7 +349,6 @@ module Arbiter = struct
     t.free_at <- at + wait0 + d;
     wait + d
 
-  let busy_of t owner = t.busy.(owner)
   let wait_of t owner = t.waits.(owner)
   let contentions t = t.contentions
 end

@@ -179,9 +179,6 @@ module Arbiter : sig
       exclusive channel already serializes its loads, the wait is always
       zero and [request] is the identity on [d]. *)
 
-  val busy_of : t -> int -> int
-  (** Cumulative channel occupancy (sum of clean durations) per tenant. *)
-
   val wait_of : t -> int -> int
   (** Cumulative cross-tenant wait cycles charged to the tenant. *)
 

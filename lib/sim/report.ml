@@ -116,11 +116,6 @@ let fault_latency_table (r : Runner.result) =
     r.fault_latency;
   t
 
-let comparison_row ~baseline r =
-  ( r.Runner.scheme,
-    Runner.normalized_time ~baseline r,
-    Runner.improvement ~baseline r )
-
 let geomean_normalized pairs =
   match pairs with
   | [] -> invalid_arg "Report.geomean_normalized: no runs"
@@ -178,8 +173,6 @@ type degradation = {
 let ratio num den =
   if den = 0 then None else Some (float_of_int num /. float_of_int den)
 
-let cell_opt_pct = function None -> "n/a" | Some v -> Table.cell_pct v
-
 let degradation ~fault_free (r : Runner.result) =
   if fault_free.Runner.cycles = 0 then
     invalid_arg "Report.degradation: empty fault-free baseline";
@@ -196,29 +189,3 @@ let degradation ~fault_free (r : Runner.result) =
     preload_abort_rate = ratio m.preloads_aborted m.preloads_issued;
     mispreload_rate = ratio m.preload_evicted_unused m.preloads_completed;
   }
-
-let degradation_headers =
-  [
-    ("fault plan", Table.Left); ("cycles", Table.Right);
-    ("overhead", Table.Right); ("faults", Table.Right);
-    ("fault incr", Table.Right); ("abort rate", Table.Right);
-    ("mispreload", Table.Right);
-  ]
-
-let degradation_row ~fault_free (r : Runner.result) =
-  let d = degradation ~fault_free r in
-  [
-    r.Runner.fault_plan;
-    Table.cell_int r.Runner.cycles;
-    Table.cell_pct d.overhead;
-    Table.cell_int (Metrics.total_faults r.Runner.metrics);
-    cell_opt_pct d.fault_increase;
-    cell_opt_pct d.preload_abort_rate;
-    cell_opt_pct d.mispreload_rate;
-  ]
-
-let degradation_table ~fault_free faulted =
-  let t = Table.create ~headers:degradation_headers in
-  Table.add_row t (degradation_row ~fault_free fault_free);
-  List.iter (fun r -> Table.add_row t (degradation_row ~fault_free r)) faulted;
-  t

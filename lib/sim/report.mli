@@ -14,10 +14,6 @@ val fault_latency_table : Runner.result -> Repro_util.Table.t
 (** Raise-to-handled latency per fault resolution kind: count, mean,
     sparkline histogram.  Rows with zero faults show a dash. *)
 
-val comparison_row :
-  baseline:Runner.result -> Runner.result -> string * float * float
-(** [(scheme, normalized_time, improvement)] against the baseline run. *)
-
 val geomean_normalized : (Runner.result * Runner.result) list -> float
 (** Geometric mean of normalized times over [(baseline, candidate)]
     pairs — the SPEC-style aggregate. *)
@@ -52,8 +48,3 @@ type degradation = {
 
 val degradation : fault_free:Runner.result -> Runner.result -> degradation
 (** @raise Invalid_argument if the fault-free baseline has zero cycles. *)
-
-val degradation_table :
-  fault_free:Runner.result -> Runner.result list -> Repro_util.Table.t
-(** One row per faulted run (the fault-free run first), labelled by the
-    plan name carried in [result.fault_plan]. *)

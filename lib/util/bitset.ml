@@ -31,8 +31,6 @@ let mem t i =
     let b = Char.code (Bytes.unsafe_get t.words (i lsr 3)) in
     b land (1 lsl (i land 7)) <> 0
 
-let assign t i v = if v then set t i else clear t i
-
 let popcount8 =
   let table = Array.make 256 0 in
   for i = 1 to 255 do

@@ -15,9 +15,6 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 
-val assign : t -> int -> bool -> unit
-(** [assign t i b] sets bit [i] to [b]. *)
-
 val cardinal : t -> int
 (** Number of set bits (O(words)). *)
 
